@@ -17,7 +17,10 @@ given with --config; explicit flags win over the file.  CHARP_WINDOW
 overrides the default window when --window is absent.
 
 Exit codes: 0 any verdict, 2 bad config, 3 precision exhausted, 4 internal
-invariant violation.  Output is byte-stable for a fixed config.
+invariant violation.  Output is byte-stable for a fixed config.  With --out
+the report is written to a temporary file next to the target and renamed
+over it only when the command returns, so a failed run leaves no partial
+report and an existing file untouched.
 """
 
 from __future__ import annotations
@@ -239,6 +242,21 @@ def cmd_lemmas(cfg: JobConfig, out) -> int:
     return 0 if report.ok else 1
 
 
+def _write_report(path: str, fn, cfg: JobConfig) -> int:
+    """Run fn into a temporary file beside path, then rename it to path."""
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            code = fn(cfg, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    return code
+
+
 def _add_common(sp):
     sp.add_argument("--config", help="key = value file; flags override it")
     sp.add_argument("--p", type=int, help="the prime (odd, >= 3)")
@@ -299,8 +317,7 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                return args.fn(cfg, fh)
+            return _write_report(args.out, args.fn, cfg)
         return args.fn(cfg, sys.stdout)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

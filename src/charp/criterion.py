@@ -113,6 +113,25 @@ def level_samples(f: DynamicalSeries, k: int, table: LevelTable | None = None) -
     return [SlopeSample(k, d, Mk_point(f, k, 0, d * q, t)) for d in range(1, f.p)]
 
 
+def _upper_bound(samples) -> Fraction | float:
+    """M_hi: the least finite sample, +inf when every sample is +inf."""
+    return min((s.value for s in samples if s.value is not INF), default=INF)
+
+
+def _lower_bound(f: DynamicalSeries, k: int, prior) -> Fraction:
+    """M_lo(k) = M_lo(k-1) - (p^tau - p^(tau-1))."""
+    return prior[k - 1][0] - _tau_step(f.p, f.tau)
+
+
+def _dominant(f: DynamicalSeries, k: int, samples, prior) -> bool:
+    """The dominance inequality of is_k_dominant on given level-k samples."""
+    best = _upper_bound(samples)
+    if best is INF:
+        return False
+    threshold = min(lo for lo, _hi in prior[:k]) - p_tau_minus_1(f.p, f.tau)
+    return best <= threshold
+
+
 def Mk_bounds(f: DynamicalSeries, k: int, prior, table: LevelTable | None = None):
     """(M_lo, M_hi) for level k given certified bounds for levels < k.
 
@@ -126,11 +145,7 @@ def Mk_bounds(f: DynamicalSeries, k: int, prior, table: LevelTable | None = None
         return m, m
     if len(prior) < k:
         raise ValueError(f"need bounds for levels 0..{k - 1}")
-    samples = level_samples(f, k, table)
-    finite = [s.value for s in samples if s.value is not INF]
-    hi = min(finite) if finite else INF
-    lo = prior[k - 1][0] - _tau_step(f.p, f.tau)
-    return lo, hi
+    return _lower_bound(f, k, prior), _upper_bound(level_samples(f, k, table))
 
 
 def is_k_dominant(f: DynamicalSeries, k: int, prior, table: LevelTable | None = None) -> bool:
@@ -143,12 +158,7 @@ def is_k_dominant(f: DynamicalSeries, k: int, prior, table: LevelTable | None = 
     """
     if k < 1:
         raise ValueError("dominance is defined for k >= 1")
-    samples = level_samples(f, k, table)
-    finite = [s.value for s in samples if s.value is not INF]
-    if not finite:
-        return False
-    threshold = min(lo for lo, _hi in prior[:k]) - p_tau_minus_1(f.p, f.tau)
-    return min(finite) <= threshold
+    return _dominant(f, k, level_samples(f, k, table), prior)
 
 
 def verdict(f: DynamicalSeries, Kmax: int, table: LevelTable | None = None) -> DominanceReport:
@@ -167,10 +177,10 @@ def verdict(f: DynamicalSeries, Kmax: int, table: LevelTable | None = None) -> D
     bounds = [(m0, m0)]
     for k in range(1, Kmax + 1):
         samples = level_samples(f, k, t)
-        lo, hi = Mk_bounds(f, k, bounds, t)
+        lo, hi = _lower_bound(f, k, bounds), _upper_bound(samples)
         if lo > hi:
             raise AssertionError(f"bound inversion at level {k}: {lo} > {hi}")
-        dom = is_k_dominant(f, k, bounds, t)
+        dom = _dominant(f, k, samples, bounds)
         levels.append(LevelReport(k, samples, lo, hi, dom))
         bounds.append((lo, hi))
         if dom:
@@ -195,13 +205,14 @@ def divergence_witness(f: DynamicalSeries, k_range, table: LevelTable | None = N
     bounds = [Mk_bounds(f, 0, [], t)]
     for k in range(1, ks[0]):
         bounds.append(Mk_bounds(f, k, bounds, t))
-    if not is_k_dominant(f, ks[0], bounds, t):
+    first = level_samples(f, ks[0], t)
+    if not _dominant(f, ks[0], first, bounds):
         raise DominanceNotCertified(
             f"dominance not certified at level {ks[0]}; no witness available"
         )
     out = []
     for k in ks:
-        samples = level_samples(f, k, t)
+        samples = first if k == ks[0] else level_samples(f, k, t)
         finite = [s for s in samples if s.value is not INF]
         if not finite:
             raise DominanceNotCertified(f"all slope samples at level {k} are +inf")

@@ -11,9 +11,16 @@ from r to s whose interior avoids multiples of p^k.  Chain sets grow like
 2^(s-r-1), so phi_k is computed by an O((s-r)^2)-edge interval dynamic
 program over admissible points; explicit enumeration only appears in tests.
 
+The DP is sparse.  Its per-(k, r) state keeps only the nodes whose value is
+not an exact zero (a horizon zero, known to vanish only up to the window, is
+kept), together with how far the sweep has gone; an admissible point swept
+but absent is an exact zero, and each node sums over stored predecessors
+only.  Windows that no multi-index can fill are recognized by a weight bound
+(LevelTable.window_is_empty) before any numerator is built.
+
 A LevelTable owns all memoized values for one map at one working window.
-Escalation (doubling the window after an uncertified valuation query) wipes
-the table; inserts are idempotent, so concurrent reads are harmless.
+Escalation (enlarging the window after an uncertified valuation query) wipes
+the table.
 """
 
 from __future__ import annotations
@@ -122,12 +129,13 @@ class LevelTable:
     def __init__(self, f: DynamicalSeries, window: int | None = None):
         self.f = f
         self.window = window if window is not None else f.ctx.default_window
+        self._top = max(f.support, default=0)
         self._reset()
 
     def _reset(self):
         self._num = {}        # (r, s) -> numerator of Phi
         self._phi = {}        # (k, r, s) -> phi_k(r, s)
-        self._dp = {}         # (k, r) -> {"g": {x: value}, "hi": int}
+        self._dp = {}         # (k, r) -> {"g": {x: value, not exact zero}, "hi": int}
         self._invpref = {}    # s -> 1 / (lambda * (1 - lambda^s)), width window
         self._psi_pref = {}   # (k, s) -> psi rescaling factor, width window
         self._pow_win = {}    # (i, e) -> window-truncated power of a_i (i=0: lambda)
@@ -135,17 +143,23 @@ class LevelTable:
         self._gap_prod = {}   # (s - r, entries) -> coefficient-power product
 
     def escalate(self):
-        """Double the window and drop every cached value.
+        """Double the window, clipped to the cap, and drop every cached value.
 
-        Raises PrecisionExhausted once the cap is hit, which is the honest
-        end state for a query whose value cannot be certified.
+        Raises PrecisionExhausted when the window already is the cap, which
+        is the honest end state for a query whose value cannot be certified.
         """
-        if self.window * 2 > self.f.ctx.max_window:
-            raise PrecisionExhausted(
-                f"window cap {self.f.ctx.max_window} reached (at {self.window})"
-            )
-        self.window *= 2
+        cap = self.f.ctx.max_window
+        if self.window >= cap:
+            raise PrecisionExhausted(f"window cap {cap} reached (at {self.window})")
+        self.window = min(2 * self.window, cap)
         self._reset()
+
+    def window_is_empty(self, r: int, s: int) -> bool:
+        """True when the window (r, s) has no multi-index, so its numerator
+        is an exact zero.  A multi-index has weight at most r + 1 and each
+        unit of weight carries degree at most max(support), so none exists
+        once s - r > (r + 1) * max(support)."""
+        return s - r > (r + 1) * self._top
 
     # -- cached building blocks ---------------------------------------------
 
@@ -281,14 +295,20 @@ class LevelTable:
     def _node_value(self, g, x):
         """Sum over admissible y < x of g[y] * Phi(u*y, u*x).
 
-        The products are merged into one buffer in a single pass; rebuilding
-        the accumulator element per term would dominate the whole DP.
+        g is the sparse DP state: it holds only nodes that are not exact
+        zeros, in increasing order, so the loop visits nonzero predecessors
+        only.  Windows that window_is_empty rules out are skipped before any
+        numerator is built.  The products are merged into one buffer in a
+        single pass; rebuilding the accumulator element per term would
+        dominate the whole DP.
         """
         u = self.f.u
         p = self.f.p
         terms = []
         for y, gy in g.items():
-            if y >= x or gy.is_exact_zero():
+            if y >= x:
+                break
+            if self.window_is_empty(u * y, u * x):
                 continue
             num = self.numerator(u * y, u * x)
             if num.is_exact_zero():
@@ -324,7 +344,10 @@ class LevelTable:
         """Level-k chain sum on (r, s), by DP over admissible points.
 
         The per-(k, r) DP state is shared between targets, so sampling many
-        s values against one base point costs one quadratic sweep total.
+        s values against one base point costs one sweep total.  The sweep
+        stores only nodes that are not exact zeros; "hi" records how far it
+        has gone, so an admissible point up to hi missing from g is an exact
+        zero.  An inadmissible target is summed directly and never stored.
         """
         if not (0 <= r < s):
             raise ValueError(f"need 0 <= r < s, got ({r}, {s})")
@@ -337,18 +360,18 @@ class LevelTable:
             st = {"g": {r: LaurentElement.one(self.f.p)}, "hi": r}
             self._dp[(k, r)] = st
         g = st["g"]
-        for x in range(st["hi"] + 1, s):
+        admissible = self._interior_ok(k, s)
+        top = s if admissible else s - 1
+        for x in range(st["hi"] + 1, top + 1):
             if self._interior_ok(k, x):
-                g[x] = self._node_value(g, x)
-        if st["hi"] < s - 1:
-            st["hi"] = s - 1
-        if s in g:
-            val = g[s]
+                val = self._node_value(g, x)
+                if not val.is_exact_zero():
+                    g[x] = val
+        st["hi"] = max(st["hi"], top)
+        if admissible:
+            val = g.get(s, LaurentElement.zero(self.f.p))
         else:
             val = self._node_value(g, s)
-            if self._interior_ok(k, s) and st["hi"] == s - 1:
-                g[s] = val
-                st["hi"] = s
         self._phi[key] = val
         return val
 
@@ -498,7 +521,7 @@ def b_coeffs(f: DynamicalSeries, N: int, table: LevelTable | None = None) -> Con
             continue
         acc = zero
         for l in range(0, n, u):
-            if b[l].is_exact_zero():
+            if b[l].is_exact_zero() or t.window_is_empty(l, n):
                 continue
             step = t.Phi(l, n)
             if step.is_exact_zero():

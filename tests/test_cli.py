@@ -50,6 +50,25 @@ class TestAnalyze:
         )
         assert code == 3
 
+    def test_escalation_tries_the_cap(self):
+        # doubling 3 overshoots the cap 4: the last step goes to 4 itself,
+        # where the tuned cancellation certifies
+        code, out = run_cli(
+            ["analyze", "--p", "5", "--a", "1:1,4:2*t^-2",
+             "--window", "3", "--max-window", "4", "--Kmax", "1"]
+        )
+        assert code == 0
+        assert out.rstrip().endswith("verdict=non-linearizable k=1")
+
+    def test_exhaustion_happens_at_the_cap(self, capsys):
+        code, _ = run_cli(
+            ["analyze", "--p", "5", "--a", "1:1,4:2*t^-2",
+             "--window", "1", "--max-window", "3", "--Kmax", "1"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "precision exhausted: window cap 3 reached (at 3);" in err
+
 
 class TestBseries:
     def test_quadratic_rows(self):
@@ -147,6 +166,21 @@ class TestConfigHandling:
         assert code == 0
         assert out == ""
         assert "verdict=non-linearizable k=1" in target.read_text()
+        assert [x.name for x in tmp_path.iterdir()] == ["report.txt"]
+
+    def test_out_file_untouched_on_failure(self, tmp_path):
+        argv = ["analyze", "--p", "5", "--a", "1:1,4:2*t^-2",
+                "--window", "1", "--max-window", "1", "--Kmax", "1"]
+        fresh = tmp_path / "fresh.txt"
+        code, _ = run_cli(argv + ["--out", str(fresh)])
+        assert code == 3
+        assert list(tmp_path.iterdir()) == []
+        kept = tmp_path / "kept.txt"
+        kept.write_text("previous report\n")
+        code, _ = run_cli(argv + ["--out", str(kept)])
+        assert code == 3
+        assert kept.read_text() == "previous report\n"
+        assert [x.name for x in tmp_path.iterdir()] == ["kept.txt"]
 
 
 class TestDeterminism:

@@ -1,10 +1,12 @@
 """Slope samples, certified bounds, dominance and verdicts."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from charp import criterion
 from charp.criterion import (
     M0,
     Mk_bounds,
@@ -187,6 +189,21 @@ class TestVerdict:
         assert not rep.non_linearizable
         assert [str(l.hi) for l in rep.levels] == ["0", "1", "-3/5", "-7/5"]
 
+    def test_each_level_sampled_once(self, monkeypatch):
+        # the p-1 samples of a level feed its bounds and its dominance test
+        calls = []
+        real = criterion.Mk_point
+
+        def counting(f, k, r, s, table=None):
+            calls.append(k)
+            return real(f, k, r, s, table)
+
+        monkeypatch.setattr(criterion, "Mk_point", counting)
+        for f, Kmax in ((quadratic(), 1), (make_map(5, {4: 1}), 3), (make_map(3, {1: 1, 2: "t"}), 2)):
+            calls.clear()
+            rep = verdict(f, Kmax)
+            assert Counter(calls) == {lvl.k: f.p - 1 for lvl in rep.levels[1:]}
+
     def test_single_term_dichotomy_sweep(self):
         # z*(lambda + z^n): certified at level 1 exactly when p does not
         # divide n + 1; the divisible cases are the linearizable family
@@ -228,3 +245,14 @@ class TestEscalation:
         f = make_map(5, {1: 1, 4: "2*t^-2"}, default_window=1, max_window=1)
         with pytest.raises(PrecisionExhausted):
             Mk_point(f, 1, 0, 5)
+
+    def test_last_step_is_clipped_to_the_cap(self):
+        f = make_map(5, {1: 1, 4: "2*t^-2"}, default_window=3, max_window=4)
+        assert Mk_point(f, 1, 0, 5) == -1
+        assert f.table().window == 4
+
+    def test_exhaustion_is_reported_at_the_cap(self):
+        f = make_map(5, {1: 1, 4: "2*t^-2"}, default_window=1, max_window=3)
+        with pytest.raises(PrecisionExhausted, match=r"cap 3 reached \(at 3\)$"):
+            Mk_point(f, 1, 0, 5)
+        assert f.table().window == 3

@@ -5,8 +5,10 @@ truncated composition)."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charp.combinat import Chain, enumerate_star_chains
+from charp.combinat import Chain, enumerate_I, enumerate_star_chains
 from charp.errors import DivisibilityViolation
 from charp.field import LaurentElement, val_p_ext
 from charp.recurrence import (
@@ -80,20 +82,79 @@ class TestPhiK:
         assert quad.multiplier.val_mu(phi_k(quad, 1, 0, 5)) == -8
 
     def test_dp_matches_enumeration(self):
-        for f in random_maps(seed=11, count=10):
-            for k in (0, 1, INF):
-                for (r, s) in [(0, 3), (0, 7), (1, 8), (2, 12), (0, 10)]:
-                    if s - r > 10:
-                        continue
+        # random maps, the linearizable family (nearly every DP node is an
+        # exact zero) and a narrow window with horizon zeros; exactness must
+        # agree too, since a horizon zero is not an exact zero
+        lin_family = [
+            make_map(5, {4: "1"}),
+            make_map(5, {4: "3*t^2"}),
+            make_map(5, {9: "t"}),
+            make_map(3, {2: "2*t^3"}),
+            make_map(3, {5: "t^-1"}),
+        ]
+        narrow = make_map(5, {1: 1, 2: "t^100"}, default_window=8)
+        for f in random_maps(seed=11, count=10) + lin_family + [narrow]:
+            for k in (0, 1, 2, INF):
+                for (r, s) in [(0, 3), (0, 7), (1, 8), (2, 12), (0, 10), (0, 12)]:
                     dp = phi_k(f, k, r, s)
                     oracle = phi_by_enumeration(f, k, r, s)
                     assert dp.agrees_with(oracle), (f.p, f.support, k, r, s)
+                    assert dp.is_exact_zero() == oracle.is_exact_zero(), (f.p, f.support, k, r, s)
 
     def test_structural_zero_level(self):
         # u = 4 with p = 5: every chain product on (0, 5d) dies
         f = make_map(5, {4: 1})
         assert phi_k(f, 1, 0, 5).is_exact_zero()
         assert phi_k(f, 2, 0, 25).is_exact_zero()
+
+
+class TestSparseLevelDP:
+    # the DP stores only nodes that are not exact zeros and skips windows the
+    # weight bound rules out; both shortcuts are checked against the slow path
+
+    @given(
+        p=st.sampled_from([3, 5, 7]),
+        support=st.sets(st.integers(1, 9), min_size=1, max_size=3),
+        exps=st.lists(st.sampled_from([0, 2, 7, 100]), min_size=3, max_size=3),
+        window=st.sampled_from([8, 64]),
+        r=st.integers(0, 30),
+        gap=st.integers(1, 80),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_empty_window_prediction(self, p, support, exps, window, r, gap):
+        f = make_map(p, {i: f"t^{e}" for i, e in zip(sorted(support), exps)}, default_window=window)
+        t = f.table()
+        s = r + gap
+        if t.window_is_empty(r, s):
+            assert enumerate_I(f, r, s) == []
+            assert t.numerator(r, s).is_exact_zero()
+        else:
+            # the bound is tight for a support containing 1 alone
+            assert support != {1} or enumerate_I(f, r, s)
+
+    def test_prediction_never_claims_a_horizon_zero(self):
+        narrow = make_map(5, {1: 1, 2: "t^100"}, default_window=8)
+        t = narrow.table()
+        for (r, s) in [(5, 7), (10, 12)]:
+            assert not t.window_is_empty(r, s)
+            assert not t.numerator(r, s).is_exact_zero()
+        for (r, s) in [(0, 3), (1, 6), (4, 15)]:
+            assert t.window_is_empty(r, s)
+            assert t.numerator(r, s).is_exact_zero()
+
+    def test_horizon_zero_nodes_are_kept(self):
+        # phi_1(4, 9) vanishes only up to the narrow window: the sweep must
+        # store it, since a swept node missing from the state reads as an
+        # exact zero, and later targets must inherit its horizon
+        for k in (1, INF):
+            f = make_map(5, {1: "t^100", 2: 1}, default_window=8)
+            for s in (14, 9, 11):
+                dp = phi_k(f, k, 4, s)
+                oracle = phi_by_enumeration(f, k, 4, s)
+                assert dp.agrees_with(oracle), (k, s)
+                assert dp.is_exact_zero() == oracle.is_exact_zero(), (k, s)
+            node = phi_k(f, k, 4, 9)
+            assert node.is_zero_within_window() and not node.is_exact_zero()
 
 
 class TestLevelRecursion:
