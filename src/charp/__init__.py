@@ -6,7 +6,6 @@ level chain sums and their Newton slopes, and decides (soundly, possibly
 inconclusively) whether f fails to be linearizable at 0.
 """
 
-from ._backend import backend_name
 from .errors import (
     BudgetExceeded,
     CharpError,
@@ -54,6 +53,9 @@ from .criterion import (
 )
 
 __version__ = "0.1.0"
+
+# the coefficient arithmetic is pure Python (packed big-integer products)
+backend_name = "python"
 
 __all__ = [
     "BudgetExceeded",

@@ -101,6 +101,27 @@ def multinomial_residue(top: int, parts, p: int) -> int:
     return res
 
 
+def binomial_residue(n: int, k: int, p: int) -> int:
+    """Binomial coefficient n!/(k! (n-k)!) reduced mod p, for 0 <= k <= n.
+
+    Lucas' theorem: the product of the digit-wise binomials in base p, zero
+    as soon as a digit of k exceeds the digit of n.
+    """
+    if not 0 <= k <= n:
+        raise PartsMismatch(f"need 0 <= k <= n, got k={k}, n={n}")
+    fact, inv_fact = _fact_tables(p)
+    res = 1
+    while k:
+        nd = n % p
+        kd = k % p
+        if kd > nd:
+            return 0
+        res = res * fact[nd] * inv_fact[kd] * inv_fact[nd - kd] % p
+        n //= p
+        k //= p
+    return res
+
+
 def lucas_vanishes(r: int, alpha: MultiIndex, j: int, p: int) -> bool:
     """Digit-overflow test at scale p^j: floor((r+1)/p^j) > sum floor(alpha_i/p^j).
 

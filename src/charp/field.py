@@ -11,20 +11,31 @@ different thing from the exact zero (empty support).  Valuation queries on
 the former raise :class:`UncertifiedLeadingTerm` so that drivers can enlarge
 the window and recompute; the latter has valuation +infinity.
 
-All elements are immutable and every operation is pure, so values can be
-shared freely across threads.
+Elements are immutable and every operation returns a new element.
+
+Coefficient vectors are multiplied by Kronecker packing: each vector becomes
+one big integer with 32-bit limbs, so a whole convolution (or a whole sum of
+convolutions, see :meth:`LaurentElement.dot`) runs inside CPython's long
+multiplication.  A limb of the result is at most the sum over products of
+min(len) * (p-1)**2 (times p-1 for a residue factor), so no carry crosses a
+limb boundary while that stays below 2**32; past that bound a product falls
+back to a plain convolution and a sum of products to pairwise products.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from fractions import Fraction
 
-from . import _backend
 from .errors import UncertifiedLeadingTerm
 
 INF = math.inf
+
+_LIMB_BITS = 32
+_LIMB_BYTES = 4
+_LIMB_CAP = 1 << _LIMB_BITS
 
 
 def val_p(n: int, p: int) -> int:
@@ -74,6 +85,67 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+# -- coefficient kernel ------------------------------------------------------
+# Coefficient vectors are sequences of ints reduced mod p, lowest exponent
+# first.
+
+def _pack(vec) -> int:
+    return int.from_bytes(array("I", vec).tobytes(), "little")
+
+
+def _unpack(n: int, count: int, p: int) -> list:
+    raw = n.to_bytes(count * _LIMB_BYTES, "little")
+    return [x % p for x in array("I", raw)]
+
+
+def _mul(a, b, p, nmax=None) -> list:
+    """Truncated product of coefficient vectors: first nmax coefficients of a*b."""
+    if not a or not b:
+        return []
+    n = len(a) + len(b) - 1
+    if nmax is not None:
+        n = min(n, nmax)
+    if n <= 0:
+        return []
+    if min(len(a), len(b)) * (p - 1) * (p - 1) < _LIMB_CAP:
+        prod = _pack(a) * _pack(b)
+        prod &= (1 << (_LIMB_BITS * n)) - 1
+        return _unpack(prod, n, p)
+    # large-prime fallback: plain truncated convolution
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if ai == 0 or i >= n:
+            continue
+        for j, bj in enumerate(b):
+            k = i + j
+            if k >= n:
+                break
+            out[k] = (out[k] + ai * bj) % p
+    return out
+
+
+def _inv(a, p, n) -> list:
+    """First n coefficients of 1/a for a unit series (a[0] != 0 mod p).
+
+    Newton iteration x -> x*(2 - a*x), doubling the certified length each
+    round; every step reuses the packed multiplication above.
+    """
+    if not a or a[0] % p == 0:
+        raise ZeroDivisionError("series has no invertible leading coefficient")
+    if n <= 0:
+        return []
+    x = [pow(a[0], p - 2, p)]
+    while len(x) < n:
+        m = min(2 * len(x), n)
+        ax = _mul(a[:m], x, p, m)
+        t = [(-c) % p for c in ax]
+        t[0] = (t[0] + 2) % p
+        x = _mul(x, t, p, m)
+        if len(x) < m:
+            x = x + [0] * (m - len(x))
+    return x[:n]
 
 
 class LaurentElement:
@@ -243,8 +315,67 @@ class LaurentElement:
             return LaurentElement.zero_up_to(p, known)
         lo = self.vmin + other.vmin
         nmax = None if known == INF else known - lo
-        out = _backend.kernel.mul(list(self.coeffs), list(other.coeffs), p, nmax)
+        out = _mul(self.coeffs, other.coeffs, p, nmax)
         return LaurentElement(p, lo, out, None if known == INF else known)
+
+    @staticmethod
+    def dot(p, triples):
+        """Sum of c * x * y over triples (c, x, y), c a residue mod p.
+
+        Equal, known_to included, to adding up ``(x * y).scale(c)`` pairwise:
+        each product certifies up to min(x's start + y's horizon, y's start +
+        x's horizon), as in ``*``, and the sum up to the least of those.  The
+        products are shifted to their offsets inside one packed integer and
+        the sum is unpacked once.  Each operand is cut to the coefficients
+        that can reach below the sum's horizon before it is packed.
+        """
+        triples = list(triples)
+        known = INF
+        lo = hi = None
+        live = []
+        for c, x, y in triples:
+            if x.known_to is not None or y.known_to is not None:
+                h = min(x._start() + y._known(), y._start() + x._known())
+                if h < known:
+                    known = h
+            c %= p
+            xc = x.coeffs
+            yc = y.coeffs
+            if c and xc and yc:
+                v = x.vmin + y.vmin
+                top = v + len(xc) + len(yc) - 1
+                if lo is None or v < lo:
+                    lo = v
+                if hi is None or top > hi:
+                    hi = top
+                live.append((c, xc, yc, v))
+        known_to = None if known == INF else known
+        if not live or min(hi, known) <= lo:
+            return LaurentElement(p, 0, (), known_to)
+        width = min(hi, known) - lo
+        cube = (p - 1) ** 3
+        if cube < _LIMB_CAP:
+            total = 0
+            load = 0
+            for c, xc, yc, v in live:
+                off = v - lo
+                room = width - off
+                if room <= 0:
+                    continue
+                if len(xc) > room:
+                    xc = xc[:room]
+                if len(yc) > room:
+                    yc = yc[:room]
+                load += min(len(xc), len(yc))
+                total += (c * _pack(xc) * _pack(yc)) << (_LIMB_BITS * off)
+            if load * cube < _LIMB_CAP:
+                total &= (1 << (_LIMB_BITS * width)) - 1
+                return LaurentElement(p, lo, _unpack(total, width, p), known_to)
+        # large primes or long sums: a limb could carry, so add pairwise
+        acc = LaurentElement.zero(p)
+        for c, x, y in triples:
+            acc = acc + (x * y).scale(c)
+        return acc
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
@@ -282,7 +413,7 @@ class LaurentElement:
             width = min(width, own)
         if width is None:
             raise ValueError("width required to invert an exact non-monomial")
-        out = _backend.kernel.inv(list(self.coeffs), p, width)
+        out = _inv(self.coeffs, p, width)
         return LaurentElement(p, -self.vmin, out, -self.vmin + width)
 
     def truncate(self, width):

@@ -18,17 +18,26 @@ but absent is an exact zero, and each node sums over stored predecessors
 only.  Windows that no multi-index can fill are recognized by a weight bound
 (LevelTable.window_is_empty) before any numerator is built.
 
+Every sum of products is one packed multiply-accumulate
+(LaurentElement.dot): the terms residue * a^alpha * lambda^alpha0 of a
+numerator, the terms g[y] * numerator(y, x) of a DP node, and the terms
+b_l * Phi(l, n) of b_n.  A multinomial residue is split as
+binom(r+1, w) * (w! / prod(parts!)) mod p, w the weight of the solution:
+the second factor depends only on the gap s - r and is computed once per
+degree solution, so only the binomial is evaluated per window.
+
 A LevelTable owns all memoized values for one map at one working window.
 Escalation (enlarging the window after an uncertified valuation query) wipes
-the table.
+every value that depends on the window and keeps the per-gap solution data.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .combinat import Chain, degree_solutions, multinomial_residue
+from .combinat import Chain, binomial_residue, degree_solutions, multinomial_residue
 from .errors import (
     DegenerateLinearMap,
     DivisibilityViolation,
@@ -130,6 +139,7 @@ class LevelTable:
         self.f = f
         self.window = window if window is not None else f.ctx.default_window
         self._top = max(f.support, default=0)
+        self._gap = {}        # s - r -> per-solution data, independent of the window
         self._reset()
 
     def _reset(self):
@@ -139,11 +149,11 @@ class LevelTable:
         self._invpref = {}    # s -> 1 / (lambda * (1 - lambda^s)), width window
         self._psi_pref = {}   # (k, s) -> psi rescaling factor, width window
         self._pow_win = {}    # (i, e) -> window-truncated power of a_i (i=0: lambda)
-        self._gap = {}        # s - r -> per-solution data shared across windows
         self._gap_prod = {}   # (s - r, entries) -> coefficient-power product
 
     def escalate(self):
-        """Double the window, clipped to the cap, and drop every cached value.
+        """Double the window, clipped to the cap, and drop every cached value
+        that depends on the window (the per-gap solution data stays).
 
         Raises PrecisionExhausted when the window already is the cap, which
         is the honest end state for a query whose value cannot be certified.
@@ -188,17 +198,34 @@ class LevelTable:
 
     def _gap_solutions(self, d: int):
         """Per-gap data shared by every window with s - r = d: for each
-        degree solution, its weight, the exact valuation floor of its
-        coefficient product, and the parts fed to the multinomial.  The
-        products themselves are built lazily (most solutions never survive
-        the window pruning)."""
+        degree solution, its weight w, the exact valuation floor of its
+        coefficient product, its entries, and its per-gap residue factor
+        w! / prod(parts!) mod p.  None of it depends on the window or on r.
+        The products themselves are built lazily (most solutions never
+        survive the window pruning).
+
+        Returns (solutions, groups): solutions come in decreasing weight, so
+        those with weight <= r + 1 are a suffix.  groups holds one entry
+        (-w, first index of weight w, least valuation floor from there on)
+        per distinct weight, in the same order, for bisecting on -(r + 1)."""
         got = self._gap.get(d)
         if got is None:
+            p = self.f.p
             avals = {i: a.val_t() for i, a in self.f.coeffs.items()}
-            got = []
+            sols = []
             for weight, _slots, entries in degree_solutions(tuple(self.f.support), d):
                 tval = sum(v * avals[i] for i, v in entries)
-                got.append((weight, tval, entries, [v for _i, v in entries]))
+                gres = multinomial_residue(weight, [v for _i, v in entries], p)
+                sols.append((weight, tval, entries, gres))
+            groups = []
+            low = INF
+            for idx in range(len(sols) - 1, -1, -1):
+                weight, tval = sols[idx][0], sols[idx][1]
+                low = min(low, tval)
+                if idx == 0 or sols[idx - 1][0] != weight:
+                    groups.append((-weight, idx, low))
+            groups.reverse()
+            got = (sols, groups)
             self._gap[d] = got
         return got
 
@@ -221,58 +248,64 @@ class LevelTable:
         residues vanish; those are the structural zeros that make slopes
         +infinity, as opposed to precision accidents.
 
+        The residue of a solution of weight w is split as
+        binom(r+1, w) * (w! / prod(parts!)) mod p; the second factor is the
+        per-gap one from _gap_solutions, so a solution whose parts carry in
+        base p is skipped without touching r.  The terms
+        residue * a^alpha * lambda^alpha0 are summed by one
+        LaurentElement.dot.
+
         Solutions whose valuation floor lies beyond the working window of
         the leading one cannot contribute certified coefficients; they are
         skipped and recorded as a horizon instead (so the window, not the
-        value, shrinks; escalation recovers them when it matters)."""
+        value, shrinks; escalation recovers them when it matters).  The
+        leading floor is taken over every solution whose weight fits,
+        whatever its residue, and so is the horizon when some term is kept."""
         key = (r, s)
         got = self._num.get(key)
         if got is not None:
             return got
         p = self.f.p
-        feasible = [
-            sol for sol in self._gap_solutions(s - r) if sol[0] <= r + 1
-        ]
-        if not feasible:
+        sols, groups = self._gap_solutions(s - r)
+        g = bisect_left(groups, (-(r + 1),))  # first group of weight <= r + 1
+        if g == len(groups):
             out = LaurentElement.zero(p)
             self._num[key] = out
             return out
-        vfloor = min(tv for _w, tv, _pr, _pa in feasible)
+        _w, first, vfloor = groups[g]
         cap = vfloor + self.window
         dropped = []
-        terms = []
-        for weight, tval, entries, parts in feasible:
+        triples = []
+        for weight, tval, entries, gres in sols[first:]:
             if tval >= cap:
-                dropped.append((weight, tval, parts))
+                dropped.append((weight, tval, gres))
                 continue
-            alpha0 = r + 1 - weight
-            c = multinomial_residue(r + 1, [alpha0] + parts, p)
+            if not gres:
+                continue
+            c = binomial_residue(r + 1, weight, p) * gres % p
             if c == 0:
                 continue
-            term = self._solution_product(s - r, entries).scale(c)
-            if alpha0:
-                term = term * self._pow_window(0, alpha0)
-            terms.append(term)
+            triples.append(
+                (c, self._solution_product(s - r, entries), self._pow_window(0, r + 1 - weight))
+            )
         horizon = None
-        if not terms and dropped:
+        if not triples and dropped:
             # nothing certified below the pruned region: residues there are
             # cheap and decide between a structural zero and a horizon zero
-            for weight, tval, parts in dropped:
-                if multinomial_residue(r + 1, [r + 1 - weight] + parts, p):
+            for weight, tval, gres in dropped:
+                if gres and binomial_residue(r + 1, weight, p):
                     horizon = tval if horizon is None else min(horizon, tval)
             dropped = [] if horizon is None else dropped
         elif dropped:
-            horizon = min(tval for _w, tval, _pa in dropped)
-        if not terms:
+            horizon = min(tval for _w, tval, _g in dropped)
+        if not triples:
             out = (
                 LaurentElement.zero(p)
                 if not dropped
                 else LaurentElement.zero_up_to(p, horizon)
             )
         else:
-            out = terms[0]
-            for term in terms[1:]:
-                out = out + term
+            out = LaurentElement.dot(p, triples)
             if horizon is not None:
                 out = LaurentElement(p, out.vmin, out.coeffs, min(out._known(), horizon))
         self._num[key] = out
@@ -298,13 +331,11 @@ class LevelTable:
         g is the sparse DP state: it holds only nodes that are not exact
         zeros, in increasing order, so the loop visits nonzero predecessors
         only.  Windows that window_is_empty rules out are skipped before any
-        numerator is built.  The products are merged into one buffer in a
-        single pass; rebuilding the accumulator element per term would
-        dominate the whole DP.
+        numerator is built.  The products g[y] * numerator are summed by one
+        LaurentElement.dot, and the sum is multiplied by the prefactor once.
         """
         u = self.f.u
-        p = self.f.p
-        terms = []
+        triples = []
         for y, gy in g.items():
             if y >= x:
                 break
@@ -313,29 +344,8 @@ class LevelTable:
             num = self.numerator(u * y, u * x)
             if num.is_exact_zero():
                 continue
-            terms.append(gy * num)
-        if not terms:
-            return LaurentElement.zero(p)
-        known = min(t._known() for t in terms)
-        stored = [t for t in terms if t.coeffs]
-        if not stored:
-            acc = (
-                LaurentElement.zero(p)
-                if known == INF
-                else LaurentElement.zero_up_to(p, known)
-            )
-        else:
-            lo = min(t.vmin for t in stored)
-            hi = max(t.vmin + len(t.coeffs) for t in stored)
-            if known != INF:
-                hi = min(hi, known)
-            out = [0] * max(hi - lo, 0)
-            for t in stored:
-                base = t.vmin - lo
-                for idx, c in enumerate(t.coeffs):
-                    if base + idx < len(out):
-                        out[base + idx] = (out[base + idx] + c) % p
-            acc = LaurentElement(p, lo, out, None if known == INF else known)
+            triples.append((1, gy, num))
+        acc = LaurentElement.dot(self.f.p, triples)
         if acc.is_exact_zero():
             return acc
         return acc * self._inv_prefactor(u * x)
@@ -519,15 +529,15 @@ def b_coeffs(f: DynamicalSeries, N: int, table: LevelTable | None = None) -> Con
         if u == 0 or n % u:
             b.append(zero)
             continue
-        acc = zero
+        triples = []
         for l in range(0, n, u):
             if b[l].is_exact_zero() or t.window_is_empty(l, n):
                 continue
             step = t.Phi(l, n)
             if step.is_exact_zero():
                 continue
-            acc = acc + b[l] * step
-        b.append(acc)
+            triples.append((1, b[l], step))
+        b.append(LaurentElement.dot(p, triples))
     return ConjugacyPrefix(tuple(b))
 
 

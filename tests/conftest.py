@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from charp.combinat import enumerate_chains
+from charp.combinat import enumerate_chains, enumerate_I, multinomial_residue
 from charp.field import LaurentElement
 from charp.recurrence import DynamicalSeries, Phi_chain
 
@@ -50,6 +50,41 @@ def phi_by_enumeration(f, k, r, s, budget=12):
     for chain in enumerate_chains(k, r, s, f.p, budget):
         total = total + Phi_chain(f, chain)
     return total
+
+
+def numerator_by_enumeration(f, r, s, window):
+    """Numerator oracle: every multi-index of enumerate_I with its full
+    multinomial residue and exact coefficient powers.  A multi-index whose
+    valuation floor lies window or more above the least floor (over all
+    multi-indices, whatever their residue) is left out and leaves a horizon:
+    the least such floor when some kept residue is nonzero, else the least
+    such floor with a nonzero residue."""
+    p = f.p
+    alphas = enumerate_I(f, r, s)
+
+    def floor(alpha):
+        return sum(v * f.a(i).val_t() for i, v in alpha.entries if i)
+
+    if not alphas:
+        return LaurentElement.zero(p)
+    cap = min(floor(a) for a in alphas) + window
+    total = LaurentElement.zero(p)
+    kept = False
+    far = []
+    for alpha in alphas:
+        c = multinomial_residue(r + 1, alpha.parts(), p)
+        if floor(alpha) >= cap:
+            far.append((floor(alpha), c))
+        elif c:
+            term = LaurentElement.one(p)
+            for i, v in alpha.entries:
+                term = term * f.a(i) ** v
+            total = total + term.scale(c)
+            kept = True
+    horizon = min((fl for fl, c in far if kept or c), default=None)
+    if horizon is None:
+        return total
+    return LaurentElement(p, total.vmin, total.coeffs, min(total._known(), horizon))
 
 
 def multinomial_by_factorials(top, parts):

@@ -60,6 +60,29 @@ class TestAnalyze:
         assert code == 0
         assert out.rstrip().endswith("verdict=non-linearizable k=1")
 
+    def test_escalating_job_output(self):
+        # windows 1 -> 2 -> 4 under a cap of 16; the per-gap solution data
+        # kept across the escalations must not change a byte
+        code, out = run_cli(
+            ["analyze", "--p", "5", "--a", "1:1,4:2*t^-2",
+             "--window", "1", "--max-window", "16", "--Kmax", "1"]
+        )
+        assert code == 0
+        assert out == (
+            "# p = 5\n"
+            "# lambda = 1 + t\n"
+            "# a = 1:1,4:2*t^-2\n"
+            "# Kmax = 1\n"
+            "# N = 20\n"
+            "# window = 1\n"
+            "# max_window = 16\n"
+            "# seed = 0\n"
+            "# budget = 400\n"
+            "level k=0 M_lo=-1 M_hi=-1\n"
+            "level k=1 d=1:-1 d=2:-6/5 d=3:-1 d=4:-19/20 M_lo=-9/5 M_hi=-6/5 dominant=true\n"
+            "verdict=non-linearizable k=1\n"
+        )
+
     def test_exhaustion_happens_at_the_cap(self, capsys):
         code, _ = run_cli(
             ["analyze", "--p", "5", "--a", "1:1,4:2*t^-2",
@@ -200,21 +223,6 @@ class TestDeterminism:
         b = subprocess.run(cmd, capture_output=True)
         assert a.returncode == 0
         assert a.stdout == b.stdout
-
-    def test_byte_identical_across_kernels(self):
-        # the compiled and pure kernels must compute the same mathematics
-        import os
-
-        cmd = [sys.executable, "-m", "charp.cli", "analyze", "--p", "5", "--a", "1:1,2:2", "--Kmax", "2"]
-        outs = []
-        for kernel in ("c", "py"):
-            env = dict(os.environ, CHARP_KERNEL=kernel)
-            proc = subprocess.run(cmd, capture_output=True, env=env)
-            if kernel == "c" and proc.returncode != 0:
-                pytest.skip("compiled kernel not built")
-            assert proc.returncode == 0
-            outs.append(proc.stdout)
-        assert outs[0] == outs[1]
 
 
 class TestBuildMap:

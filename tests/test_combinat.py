@@ -11,6 +11,7 @@ from charp.combinat import (
     Chain,
     MultiIndex,
     StarChain,
+    binomial_residue,
     enumerate_chains,
     enumerate_I,
     enumerate_star_chains,
@@ -70,6 +71,34 @@ class TestMultinomial:
         top = sum(parts)
         want = multinomial_by_factorials(top, parts) % p
         assert multinomial_residue(top, parts, p) == want
+
+
+class TestBinomialSplit:
+    # the numerator splits binom(r+1; alpha0, parts) as
+    # binom(r+1, w) * binom(w; parts), w = sum(parts)
+
+    def test_binomial_against_integers(self):
+        for p in (3, 5, 7):
+            for n in range(0, 80):
+                for k in range(0, n + 1):
+                    assert binomial_residue(n, k, p) == math.comb(n, k) % p
+
+    def test_binomial_rejects_k_outside_range(self):
+        for n, k in [(3, 4), (3, -1)]:
+            with pytest.raises(PartsMismatch):
+                binomial_residue(n, k, 5)
+
+    @given(
+        parts=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=4),
+        extra=st.integers(min_value=0, max_value=60),
+        p=st.sampled_from([3, 5, 7, 11]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_split_matches_full_multinomial(self, parts, extra, p):
+        w = sum(parts)
+        top = w + extra  # r + 1, with alpha0 = extra
+        split = binomial_residue(top, w, p) * multinomial_residue(w, parts, p) % p
+        assert split == multinomial_residue(top, [extra] + parts, p)
 
 
 class TestLucas:

@@ -266,3 +266,75 @@ class TestEscalation:
         f = DynamicalSeries.from_spec(5, {1: 1}, default_window=1, max_window=1)
         with pytest.raises(PrecisionExhausted):
             f.table().escalate()
+
+
+# products summed by LaurentElement.dot, checked against the pairwise sum
+
+@st.composite
+def dot_operands(draw, p):
+    """An element that is not an exact zero: exact, truncated (its horizon
+    may cut into the stored coefficients), or zero up to a horizon."""
+    kind = draw(st.sampled_from(["exact", "truncated", "zero_up_to"]))
+    vmin = draw(st.integers(min_value=-6, max_value=12))
+    if kind == "zero_up_to":
+        return LaurentElement.zero_up_to(p, vmin)
+    width = draw(st.integers(min_value=1, max_value=10))
+    coeffs = draw(st.lists(st.integers(min_value=0, max_value=p - 1), min_size=width, max_size=width))
+    if not any(coeffs):
+        coeffs[0] = 1
+    known_to = None
+    if kind == "truncated":
+        known_to = vmin + draw(st.integers(min_value=1, max_value=width + 3))
+    return LaurentElement(p, vmin, coeffs, known_to)
+
+
+def pairwise_dot(p, triples):
+    acc = LaurentElement.zero(p)
+    for c, x, y in triples:
+        acc = acc + (x * y).scale(c)
+    return acc
+
+
+def assert_same_element(got, want):
+    assert (got.vmin, got.coeffs, got.known_to) == (want.vmin, want.coeffs, want.known_to)
+
+
+class TestDot:
+    @given(data=st.data(), p=st.sampled_from([3, 5, 7]), count=st.integers(0, 6))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_pairwise_sum(self, data, p, count):
+        triples = [
+            (
+                data.draw(st.integers(min_value=0, max_value=2 * p)),
+                data.draw(dot_operands(p)),
+                data.draw(dot_operands(p)),
+            )
+            for _ in range(count)
+        ]
+        assert_same_element(LaurentElement.dot(p, triples), pairwise_dot(p, triples))
+
+    def test_products_past_the_horizon_are_cut(self):
+        p = 5
+        near = LaurentElement(p, 0, [1, 2, 3, 4], 3)  # certified below t^3
+        far = el(p, "t^5 + t^9")
+        triples = [(1, near, el(p, "1 + t")), (3, far, far), (2, el(p, "t^-1"), el(p, "t^2 + t^4"))]
+        got = LaurentElement.dot(p, triples)
+        assert got.known_to == 3
+        assert_same_element(got, pairwise_dot(p, triples))
+
+    @pytest.mark.parametrize(
+        "p, count, width",
+        [
+            (4294967311, 2, 3),  # p itself does not fit a 32-bit limb
+            (65537, 3, 4),  # (p-1)^3 alone exceeds a 32-bit limb
+            (257, 20, 20),  # (p-1)^3 fits, but the sum of 20 long products does not
+        ],
+    )
+    def test_limb_overflow_falls_back_to_pairwise(self, p, count, width):
+        # every coefficient at p - 1 makes the packed limbs carry if the
+        # bound check is wrong
+        top = p - 1
+        x = LaurentElement(p, 0, [top] * width)
+        y = LaurentElement(p, 1, [top] * width, 1 + width)
+        triples = [(top, x, y)] * count
+        assert_same_element(LaurentElement.dot(p, triples), pairwise_dot(p, triples))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charp.combinat import Chain, enumerate_I, enumerate_star_chains
+from charp.combinat import Chain, enumerate_I, enumerate_star_chains, multinomial_residue
 from charp.errors import DivisibilityViolation
 from charp.field import LaurentElement, val_p_ext
 from charp.recurrence import (
@@ -22,7 +22,7 @@ from charp.recurrence import (
     psi_k,
 )
 
-from conftest import make_map, phi_by_enumeration, quadratic, random_maps
+from conftest import make_map, numerator_by_enumeration, phi_by_enumeration, quadratic, random_maps
 
 INF = math.inf
 
@@ -155,6 +155,64 @@ class TestSparseLevelDP:
                 assert dp.is_exact_zero() == oracle.is_exact_zero(), (k, s)
             node = phi_k(f, k, 4, 9)
             assert node.is_zero_within_window() and not node.is_exact_zero()
+
+
+class TestNumerator:
+    # the numerator sums its terms with one packed dot and splits each
+    # residue into binom(r+1, w) and a per-gap factor; both are checked
+    # against the multinomial sum over enumerate_I.  Monomial coefficients
+    # and r <= 14 keep every power the table builds exact, so the two agree
+    # to the last field, known_to included.
+
+    @given(
+        p=st.sampled_from([3, 5, 7]),
+        support=st.sets(st.integers(1, 6), min_size=1, max_size=3),
+        exps=st.lists(st.sampled_from([-3, 0, 2, 7, 40]), min_size=3, max_size=3),
+        window=st.sampled_from([4, 8, 64]),
+        r=st.integers(0, 14),
+        gap=st.integers(1, 20),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_enumeration(self, p, support, exps, window, r, gap):
+        f = make_map(p, {i: f"t^{e}" for i, e in zip(sorted(support), exps)}, default_window=window)
+        got = f.table().numerator(r, r + gap)
+        want = numerator_by_enumeration(f, r, r + gap, window)
+        assert (got.vmin, got.coeffs, got.known_to) == (want.vmin, want.coeffs, want.known_to)
+
+    @pytest.mark.parametrize(
+        "window, r, s, known_to",
+        [
+            (4, 6, 15, 12),  # one kept term; the far solution leaves t^12
+            (2, 3, 9, 9),  # every kept residue vanishes; a horizon zero
+        ],
+    )
+    def test_zero_factor_solution_sets_the_floor(self, window, r, s, known_to):
+        # the least valuation floor belongs to a solution whose per-gap
+        # factor vanishes (alpha_1, alpha_2 = 5, 2 and 2, 2: 7!/(5!2!) = 21
+        # and 4!/(2!2!) = 6); it must still set the floor, or the cap, and
+        # with it the horizon, moves
+        f = make_map(3, {1: 1, 2: "t^3"}, default_window=window)
+        alphas = enumerate_I(f, r, s)
+        lowest = min(alphas, key=lambda a: a[2])  # the floor is 3 * alpha_2
+        inner = [v for i, v in lowest.entries if i]
+        assert multinomial_residue(sum(inner), inner, 3) == 0
+        got = f.table().numerator(r, s)
+        want = numerator_by_enumeration(f, r, s, window)
+        assert got == want
+        assert got.known_to == known_to
+
+    def test_escalation_keeps_gap_data(self):
+        f = make_map(5, {1: 1, 4: "2*t^-2"}, default_window=1, max_window=16)
+        t = f.table()
+        before = {d: t._gap_solutions(d) for d in (1, 4, 6)}
+        t.numerator(3, 9)
+        t.escalate()
+        assert t.window == 2
+        for d, data in before.items():
+            assert t._gap_solutions(d) is data
+        fresh = make_map(5, {1: 1, 4: "2*t^-2"}, default_window=2).table()
+        for (r, s) in [(3, 9), (0, 4), (2, 3)]:
+            assert t.numerator(r, s) == fresh.numerator(r, s)
 
 
 class TestLevelRecursion:
