@@ -20,10 +20,16 @@ multiplication.  A limb of the result is at most the sum over products of
 min(len) * (p-1)**2 (times p-1 for a residue factor), so no carry crosses a
 limb boundary while that stays below 2**32; past that bound a product falls
 back to a plain convolution and a sum of products to pairwise products.
+
+The Multiplier owns the values that depend only on p, lambda and a working
+width (truncated powers of lambda, the prefactors of Phi and psi), memoized
+per width; make_lambda hands one Multiplier to every map with the same
+(p, lambda), so a process computes each of those values once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from array import array
@@ -526,15 +532,27 @@ def parse_laurent(p: int, text: str) -> LaurentElement:
 
 # -- the multiplier and the mu-adic valuation -------------------------------
 
+_WIDTHS_KEPT = 2  # working widths whose lambda-only values a multiplier keeps
+
+
 class Multiplier:
     """lambda in 1 + t*F_p[[t]], lambda != 1, and the valuation it induces.
 
     In characteristic p an element of 1 + m other than 1 is automatically not
     a root of unity, so the constructor only needs to reject lambda = 1 and
     |1 - lambda| >= 1.  With mu = lambda - 1, val_mu(x) = val_t(x) / val_t(mu).
+
+    The multiplier also owns every value of the recurrence that depends on
+    lambda and a working width alone: the prefactors 1/(lambda(1 - lambda^s))
+    and the psi rescaling factors, and the window powers of lambda.  They are
+    memoized per width, for the two widths used last, so every LevelTable on
+    the same multiplier (make_lambda hands out one per (p, lambda)) computes
+    each of them once.  Truncated powers come from the base-p digits of the
+    exponent: lambda^(d*p^j) is lambda^d with t replaced by t^(p^j), and
+    only the digits with p^j below the width reach into the window.
     """
 
-    __slots__ = ("ctx", "lam", "mu", "c", "_pow_cache")
+    __slots__ = ("p", "lam", "mu", "c", "_pow_cache", "_widths", "_last_width")
 
     def __init__(self, ctx: PrimeContext, lam: LaurentElement):
         if not lam.exact:
@@ -544,41 +562,113 @@ class Multiplier:
             raise ValueError("lambda = 1 is a root of unity")
         if mu.val_t() < 1:
             raise ValueError("need |1 - lambda| < 1, i.e. val_t(lambda - 1) >= 1")
-        self.ctx = ctx
+        self.p = ctx.p
         self.lam = lam
         self.mu = mu
         self.c = mu.val_t()
         self._pow_cache = {0: LaurentElement.one(ctx.p), 1: lam}
+        self._widths = {}  # width -> (prefactors, psi factors, window powers)
+        self._last_width = None
 
-    @property
-    def p(self):
-        return self.ctx.p
-
-    def pow(self, s: int) -> LaurentElement:
-        """Exact lambda**s (memoized; exponents stay modest at desk scale)."""
+    def pow(self, s: int, width: int | None = None) -> LaurentElement:
+        """lambda**s: exact and memoized when width is None, else its first
+        `width` coefficients (known_to = width), built from the base-p digits
+        of s and not memoized."""
         if s < 0:
             raise ValueError("negative lambda powers are not needed")
-        cache = self._pow_cache
-        if s in cache:
-            return cache[s]
-        half = self.pow(s // 2)
-        result = half * half
-        if s & 1:
-            result = result * self.lam
-        cache[s] = result
-        return result
+        if width is None:
+            return self._exact_pow(s)
+        p = self.p
+        out = [1]
+        q = 1  # p^j for the digit d of s at position j
+        while s and q < width:
+            s, d = divmod(s, p)
+            if d:
+                base = self._exact_pow(d).coeffs  # lambda^d, a polynomial with constant term 1
+                n = min((len(base) - 1) * q + 1, width)
+                spread = [0] * n
+                spread[::q] = base[: (n - 1) // q + 1]
+                out = _mul(out, spread, p, width)
+            q *= p
+        return LaurentElement(p, 0, out, width)
 
-    def one_minus_pow(self, s: int) -> LaurentElement:
-        """Exact 1 - lambda**s, self-checked against val_mu = p^{val_p(s)}."""
+    def _exact_pow(self, s: int) -> LaurentElement:
+        cache = self._pow_cache
+        got = cache.get(s)
+        if got is None:
+            half = self._exact_pow(s // 2)
+            got = half * half
+            if s & 1:
+                got = got * self.lam
+            cache[s] = got
+        return got
+
+    def one_minus_pow(self, s: int, width: int | None = None) -> LaurentElement:
+        """1 - lambda**s, self-checked against its valuation c*p^{val_p(s)}
+        (val_mu = p^{val_p(s)}): exact when width is None, else certified to
+        `width` coefficients past that valuation."""
         if s < 1:
             raise ValueError("need s >= 1")
-        out = LaurentElement.one(self.p) - self.pow(s)
         expected = self.c * self.p ** val_p(s, self.p)
-        if out.val_t() != expected:
+        top = None if width is None else expected + width
+        out = LaurentElement.one(self.p) - self.pow(s, top)
+        if out.val_t_lb() != expected:
             raise AssertionError(
-                f"val_t(1 - lambda^{s}) = {out.val_t()}, expected {expected}"
+                f"val_t(1 - lambda^{s}) = {out.val_t_lb()}, expected {expected}"
             )
         return out
+
+    # values shared by every table on this multiplier, per working width ----
+
+    def _memo(self, width: int):
+        widths = self._widths
+        if width != self._last_width:
+            got = widths.pop(width, None)
+            if got is None:
+                got = ({}, {}, {})
+                if len(widths) >= _WIDTHS_KEPT:
+                    del widths[next(iter(widths))]  # the width used longest ago
+            widths[width] = got
+            self._last_width = width
+        return widths[width]
+
+    def inv_prefactor(self, s: int, width: int) -> LaurentElement:
+        """1 / (lambda * (1 - lambda^s)), certified to `width` coefficients.
+        The inverse reads only `width` coefficients of the denominator, so the
+        denominator is built truncated to them."""
+        memo = self._memo(width)[0]
+        got = memo.get(s)
+        if got is None:
+            got = (self.lam * self.one_minus_pow(s, width)).inverse(width)
+            memo[s] = got
+        return got
+
+    def psi_factor(self, q: int, m: int, width: int) -> LaurentElement:
+        """(1 - lambda^m) / ((1 - lambda^q) * lambda^(m-1)), certified to
+        `width` coefficients past its valuation (q = p^(k+tau), m = u*s for
+        the psi_k rescaling)."""
+        memo = self._memo(width)[1]
+        key = (q, m)
+        got = memo.get(key)
+        if got is None:
+            denom = self.one_minus_pow(q, width) * self.pow(m - 1, width)
+            got = self.one_minus_pow(m, width) * denom.inverse(width)
+            memo[key] = got
+        return got
+
+    def window_pow(self, e: int, width: int) -> LaurentElement:
+        """lambda**e for a numerator term: exact while its degree
+        (len(lambda) - 1) * e stays below 4 * width, else its first `width`
+        coefficients."""
+        memo = self._memo(width)[2]
+        got = memo.get(e)
+        if got is None:
+            if (len(self.lam.coeffs) - 1) * e < 4 * width:
+                got = self.lam**e
+            else:
+                got = self.pow(e, width)
+            memo[e] = got
+        return got
 
     # valuations ------------------------------------------------------------
 
@@ -613,11 +703,20 @@ class Multiplier:
 
 
 def make_lambda(ctx: PrimeContext, spec: str | LaurentElement | None = None) -> Multiplier:
-    """Build the multiplier from a Laurent literal (default ``1 + t``)."""
+    """The multiplier for a Laurent literal (default ``1 + t``).
+
+    Equal (p, lambda) give the same Multiplier, so maps that share lambda
+    share its memoized values; the most recently used multipliers are kept.
+    """
     if spec is None:
         lam = LaurentElement.from_terms(ctx.p, {0: 1, 1: 1})
     elif isinstance(spec, LaurentElement):
         lam = spec
     else:
         lam = parse_laurent(ctx.p, spec)
-    return Multiplier(ctx, lam)
+    return _shared_multiplier(ctx.p, lam)
+
+
+@functools.lru_cache(maxsize=32)
+def _shared_multiplier(p: int, lam: LaurentElement) -> Multiplier:
+    return Multiplier(PrimeContext(p), lam)

@@ -26,13 +26,19 @@ binom(r+1, w) * (w! / prod(parts!)) mod p, w the weight of the solution:
 the second factor depends only on the gap s - r and is computed once per
 degree solution, so only the binomial is evaluated per window.
 
-A LevelTable owns all memoized values for one map at one working window.
-Escalation (enlarging the window after an uncertified valuation query) wipes
-every value that depends on the window and keeps the per-gap solution data.
+A LevelTable owns the memoized values of one map at one working window.
+The values that depend only on lambda and the window (the prefactors
+1/(lambda(1 - lambda^s)), the psi rescaling factors, window powers of
+lambda) live on the Multiplier, which every map with the same (p, lambda)
+shares.  Escalation (enlarging the window after an uncertified valuation
+query) wipes every value of the table that depends on the window and keeps
+the per-gap solution data.  A table keeps a copy of its map without the
+map's own table, so the two do not form a reference cycle.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -136,7 +142,10 @@ class LevelTable:
     """Memoized Phi / phi_k values for one map at one working window."""
 
     def __init__(self, f: DynamicalSeries, window: int | None = None):
-        self.f = f
+        # a shallow copy of the map without the default table it holds, so
+        # that a map and its table do not keep each other alive
+        self.f = copy.copy(f)
+        self.f._table = None
         self.window = window if window is not None else f.ctx.default_window
         self._top = max(f.support, default=0)
         self._gap = {}        # s - r -> per-solution data, independent of the window
@@ -146,9 +155,7 @@ class LevelTable:
         self._num = {}        # (r, s) -> numerator of Phi
         self._phi = {}        # (k, r, s) -> phi_k(r, s)
         self._dp = {}         # (k, r) -> {"g": {x: value, not exact zero}, "hi": int}
-        self._invpref = {}    # s -> 1 / (lambda * (1 - lambda^s)), width window
-        self._psi_pref = {}   # (k, s) -> psi rescaling factor, width window
-        self._pow_win = {}    # (i, e) -> window-truncated power of a_i (i=0: lambda)
+        self._pow_win = {}    # (i, e) -> window-truncated power of a_i, i >= 1
         self._gap_prod = {}   # (s - r, entries) -> coefficient-power product
 
     def escalate(self):
@@ -174,7 +181,8 @@ class LevelTable:
     # -- cached building blocks ---------------------------------------------
 
     def _pow_window(self, i: int, e: int) -> LaurentElement:
-        """a_i**e (a_0 = lambda), exact when small, else width-window certified."""
+        """a_i**e for i >= 1, exact when small, else width-window certified
+        (powers of a_0 = lambda come from Multiplier.window_pow)."""
         key = (i, e)
         got = self._pow_win.get(key)
         if got is None:
@@ -188,13 +196,7 @@ class LevelTable:
         return got
 
     def _inv_prefactor(self, s: int) -> LaurentElement:
-        got = self._invpref.get(s)
-        if got is None:
-            mult = self.f.multiplier
-            denom = mult.lam * mult.one_minus_pow(s)
-            got = denom.inverse(self.window)
-            self._invpref[s] = got
-        return got
+        return self.f.multiplier.inv_prefactor(s, self.window)
 
     def _gap_solutions(self, d: int):
         """Per-gap data shared by every window with s - r = d: for each
@@ -273,7 +275,9 @@ class LevelTable:
             self._num[key] = out
             return out
         _w, first, vfloor = groups[g]
-        cap = vfloor + self.window
+        window = self.window
+        cap = vfloor + window
+        lam_pow = self.f.multiplier.window_pow
         dropped = []
         triples = []
         for weight, tval, entries, gres in sols[first:]:
@@ -286,7 +290,7 @@ class LevelTable:
             if c == 0:
                 continue
             triples.append(
-                (c, self._solution_product(s - r, entries), self._pow_window(0, r + 1 - weight))
+                (c, self._solution_product(s - r, entries), lam_pow(r + 1 - weight, window))
             )
         horizon = None
         if not triples and dropped:
@@ -386,16 +390,8 @@ class LevelTable:
         return val
 
     def _psi_prefactor(self, k: int, s: int) -> LaurentElement:
-        key = (k, s)
-        got = self._psi_pref.get(key)
-        if got is None:
-            f = self.f
-            mult = f.multiplier
-            us = f.u * s
-            denom = mult.one_minus_pow(f.p ** (k + f.tau)) * mult.pow(us - 1)
-            got = mult.one_minus_pow(us) * denom.inverse(self.window)
-            self._psi_pref[key] = got
-        return got
+        f = self.f
+        return f.multiplier.psi_factor(f.p ** (k + f.tau), f.u * s, self.window)
 
     def psi(self, k: int, r: int, s: int) -> LaurentElement:
         """phi_k rescaled so that its valuation over (s - r) is the Newton

@@ -1,5 +1,6 @@
 """Command line: verdict lines, CSV output, config handling, determinism."""
 
+import hashlib
 import io
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from charp.cli import JobConfig, build_map, main
+from charp.field import _shared_multiplier
 
 
 def run_cli(argv):
@@ -223,6 +225,52 @@ class TestDeterminism:
         b = subprocess.run(cmd, capture_output=True)
         assert a.returncode == 0
         assert a.stdout == b.stdout
+
+
+# sha256 of the stdout of the north-star corpus, recorded before the
+# lambda-only values moved onto the shared multiplier; any change to these
+# bytes is a change to a verdict, a slope or the report format
+ESCALATING = ["analyze", "--p", "5", "--a", "1:1,4:2*t^-2",
+              "--window", "1", "--max-window", "16", "--Kmax", "1"]
+QUADRATIC = ["analyze", "--p", "5", "--a", "1:1", "--Kmax", "3"]
+SUITE = ["lemmas", "--seed", "0", "--budget", "400"]
+CORPUS = [
+    (QUADRATIC, "be23951640ec8c2b3024e641c1cf3c36d510473e688f43ba0444f6f9a25e3430"),
+    (["analyze", "--p", "5", "--a", "4:1", "--Kmax", "4"],
+     "a6168ee4ad521f2793f1191f026c9c33db9206ef9b0c6ccb117ccdbcfe7dc63b"),
+    (["analyze", "--p", "5", "--a", "4:1", "--Kmax", "5"],
+     "ca0f0634174ab1deef8e39f1e196963e617056c875264b594a8064a24ac49eec"),
+    (["analyze", "--p", "7", "--a", "6:1", "--Kmax", "3"],
+     "3232171eada3fba85e2fd3171559a9c505801a461897e74c8d350d1e2f5b1843"),
+    (["analyze", "--p", "5", "--a", "1:t^10,4:t", "--Kmax", "3"],
+     "61e134927c6139ecc0fe5d1f1aceb167aadc015959877f0010bb2c398f1bded1"),
+    (["bseries", "--p", "5", "--a", "1:1", "--N", "200"],
+     "fe20c1931fcc3b4aaaf679c57ed4a67281facf3deaa1dc73e16867c9c555aae2"),
+    (SUITE, "f876647d20f3db1da3da809739bcd96f58e1625ace1f3e12dac502492def94bd"),
+    (ESCALATING, "075ffee688906d0976952b7c5d5ea3e70bcddc932d1e3548a64e09ca20ee691f"),
+]
+DIGEST = {tuple(argv): digest for argv, digest in CORPUS}
+
+
+def stdout_digest(argv):
+    code, out = run_cli(argv)
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+class TestCorpusDigests:
+    @pytest.mark.parametrize("argv, digest", CORPUS, ids=[" ".join(a) for a, _ in CORPUS])
+    def test_stdout_is_pinned(self, argv, digest, monkeypatch):
+        monkeypatch.delenv("CHARP_WINDOW", raising=False)
+        assert stdout_digest(argv) == digest
+
+    def test_shared_multipliers_are_invisible(self, monkeypatch):
+        # the escalating job widens the window of the multiplier 1 + t that
+        # the default-window job shares; neither may see the other's values
+        monkeypatch.delenv("CHARP_WINDOW", raising=False)
+        _shared_multiplier.cache_clear()
+        for argv in (ESCALATING, QUADRATIC, ESCALATING, SUITE, QUADRATIC):
+            assert stdout_digest(argv) == DIGEST[tuple(argv)], argv
 
 
 class TestBuildMap:

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from charp.errors import PrecisionExhausted, UncertifiedLeadingTerm
 from charp.field import (
     LaurentElement,
+    Multiplier,
     PrimeContext,
+    _shared_multiplier,
     make_lambda,
     parse_laurent,
     val_p,
@@ -338,3 +340,181 @@ class TestDot:
         y = LaurentElement(p, 1, [top] * width, 1 + width)
         triples = [(top, x, y)] * count
         assert_same_element(LaurentElement.dot(p, triples), pairwise_dot(p, triples))
+
+
+# lambda powers from base-p digits, checked against exact powers
+
+@st.composite
+def multipliers(draw):
+    """A fresh (not shared) Multiplier for lambda = 1 + t*g, g a random
+    nonzero polynomial of degree < 4."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    g = draw(st.lists(st.integers(min_value=0, max_value=p - 1), min_size=1, max_size=4))
+    if not any(g):
+        g[0] = 1
+    lam = LaurentElement(p, 0, [1] + g)
+    return Multiplier(PrimeContext(p), lam)
+
+
+def certified_part(exact, known_to):
+    """The window of an exact element below known_to."""
+    return LaurentElement(exact.p, exact.vmin, exact.coeffs, known_to)
+
+
+widths = st.integers(min_value=1, max_value=128)
+exponents = st.integers(min_value=0, max_value=2000)
+
+
+class TestFrobeniusPowers:
+    @given(mult=multipliers(), s=exponents, width=widths)
+    @settings(max_examples=150, deadline=None)
+    def test_pow_matches_exact_power(self, mult, s, width):
+        got = mult.pow(s, width)
+        assert_same_element(got, certified_part(mult.lam**s, width))
+
+    @given(mult=multipliers(), s=st.integers(min_value=1, max_value=2000), width=widths)
+    @settings(max_examples=150, deadline=None)
+    def test_one_minus_pow_matches_exact(self, mult, s, width):
+        want = LaurentElement.one(mult.p) - mult.lam**s
+        got = mult.one_minus_pow(s, width)
+        assert got.vmin == want.vmin == mult.c * mult.p ** val_p(s, mult.p)
+        assert_same_element(got, certified_part(want, want.vmin + width))
+        assert_same_element(mult.one_minus_pow(s), want)
+
+    @given(mult=multipliers(), s=st.integers(min_value=1, max_value=2000), width=widths)
+    @settings(max_examples=100, deadline=None)
+    def test_inv_prefactor_matches_exact_route(self, mult, s, width):
+        one = LaurentElement.one(mult.p)
+        want = (mult.lam * (one - mult.lam**s)).inverse(width)
+        assert_same_element(mult.inv_prefactor(s, width), want)
+
+    @given(
+        mult=multipliers(),
+        j=st.integers(min_value=0, max_value=3),
+        m=st.integers(min_value=1, max_value=2000),
+        width=widths,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_psi_factor_matches_exact_route(self, mult, j, m, width):
+        lam, one = mult.lam, LaurentElement.one(mult.p)
+        q = mult.p**j
+        denom = (one - lam**q) * lam ** (m - 1)
+        want = (one - lam**m) * denom.inverse(width)
+        assert_same_element(mult.psi_factor(q, m, width), want)
+
+    @given(mult=multipliers(), e=st.integers(min_value=0, max_value=600), width=widths)
+    @settings(max_examples=100, deadline=None)
+    def test_window_pow_keeps_the_exactness_rule(self, mult, e, width):
+        lam = mult.lam
+        if (len(lam.coeffs) - 1) * e < 4 * width:
+            want = lam**e
+        else:
+            want = lam.truncate(width) ** e
+        assert_same_element(mult.window_pow(e, width), want)
+
+    def test_pow_of_a_power_of_p_is_a_substitution(self):
+        # lambda^(p^3) is lambda with t replaced by t^(p^3)
+        mult = make_lambda(PrimeContext(5), "1 + t + 3*t^2")
+        want = el(5, "1 + t^125 + 3*t^250")
+        assert_same_element(mult.pow(5**3, 400), certified_part(want, 400))
+        assert_same_element(mult.pow(5**3, 200), certified_part(want, 200))
+        assert_same_element(mult.pow(5**3, 125), LaurentElement(5, 0, [1], 125))
+
+
+class TestSharedMultiplier:
+    def test_equal_p_and_lambda_share_one_multiplier(self):
+        a = make_lambda(PrimeContext(5))
+        b = make_lambda(PrimeContext(5, default_window=8, max_window=16), "1 + t")
+        c = make_lambda(PrimeContext(5), LaurentElement.from_terms(5, {0: 1, 1: 1}))
+        assert a is b is c
+
+    def test_distinct_p_or_lambda_do_not_share(self):
+        a = make_lambda(PrimeContext(5))
+        assert make_lambda(PrimeContext(3)) is not a
+        assert make_lambda(PrimeContext(7)) is not a
+        assert make_lambda(PrimeContext(5), "1 + t^2") is not a
+        assert make_lambda(PrimeContext(5), "1 + 2*t") is not a
+        assert make_lambda(PrimeContext(3)).p == 3
+
+    def test_interned_multipliers_are_bounded(self):
+        kept = _shared_multiplier.cache_info().maxsize
+        first = make_lambda(PrimeContext(7), "1 + t^99")
+        for e in range(100, 100 + kept + 5):
+            make_lambda(PrimeContext(7), f"1 + t^{e}")
+        assert _shared_multiplier.cache_info().currsize <= kept
+        assert make_lambda(PrimeContext(7), "1 + t^99") is not first
+
+    def test_at_most_two_widths_are_kept(self):
+        mult = Multiplier(PrimeContext(5), el(5, "1 + t"))
+        for width in (8, 16, 32):
+            mult.inv_prefactor(3, width)
+            mult.psi_factor(5, 4, width)
+            mult.window_pow(40, width)
+        assert sorted(mult._widths) == [16, 32]
+        mult.inv_prefactor(3, 16)  # 16 is now the width used last
+        mult.inv_prefactor(3, 64)
+        assert sorted(mult._widths) == [16, 64]
+
+    def test_values_do_not_depend_on_the_other_width(self):
+        shared = Multiplier(PrimeContext(5), el(5, "1 + t + t^3"))
+        for width in (8, 128, 8, 64, 8):
+            fresh = Multiplier(PrimeContext(5), el(5, "1 + t + t^3"))
+            for s in (1, 5, 25, 26, 130):
+                assert_same_element(shared.inv_prefactor(s, width), fresh.inv_prefactor(s, width))
+                assert_same_element(shared.psi_factor(5, s, width), fresh.psi_factor(5, s, width))
+
+
+# the window invariant: known_to never over-claims
+
+@st.composite
+def exact_and_truncated(draw, p):
+    """An exact element and a truncation of it: its horizon may cut into the
+    stored coefficients or lie below them (a horizon zero)."""
+    width = draw(st.integers(min_value=1, max_value=10))
+    vmin = draw(st.integers(min_value=-5, max_value=5))
+    coeffs = draw(st.lists(st.integers(min_value=0, max_value=p - 1), min_size=width, max_size=width))
+    if not any(coeffs):
+        coeffs[0] = 1
+    exact = LaurentElement(p, vmin, coeffs)
+    if draw(st.booleans()):
+        return exact, exact
+    known_to = exact.vmin + draw(st.integers(min_value=-2, max_value=width + 2))
+    return exact, LaurentElement(p, vmin, coeffs, known_to)
+
+
+def assert_certified_agree(got, want):
+    """Every coefficient that got certifies equals want's; want must be
+    certified at least as far."""
+    if got.known_to is None:
+        assert want.known_to is None
+        assert_same_element(got, want)
+        return
+    assert want.known_to is None or want.known_to >= got.known_to
+    lo = min([got.known_to] + [x.vmin for x in (got, want) if x.coeffs])
+    for e in range(lo, got.known_to):
+        assert got.coefficient(e) == want.coefficient(e), e
+
+
+class TestWindowInvariant:
+    @given(data=st.data(), p=st.sampled_from([3, 5, 7]))
+    @settings(max_examples=300, deadline=None)
+    def test_ring_operations(self, data, p):
+        a, ta = data.draw(exact_and_truncated(p))
+        b, tb = data.draw(exact_and_truncated(p))
+        assert_certified_agree(ta + tb, a + b)
+        assert_certified_agree(ta - tb, a - b)
+        assert_certified_agree(ta * tb, a * b)
+
+    @given(data=st.data(), p=st.sampled_from([3, 5, 7]))
+    @settings(max_examples=300, deadline=None)
+    def test_inverse(self, data, p):
+        a, ta = data.draw(exact_and_truncated(p))
+        if not ta.has_certified_leading_term():
+            with pytest.raises(UncertifiedLeadingTerm):
+                ta.inverse()
+            return
+        width = data.draw(st.integers(min_value=1, max_value=16))
+        got = ta.inverse(width)
+        # the exact element inverted past got's horizon is the slow path
+        want = a.inverse(width + 4) if a.exact and len(a.coeffs) > 1 else a.inverse()
+        assert_certified_agree(got, want)

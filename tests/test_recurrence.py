@@ -2,14 +2,16 @@
 independent oracles (enumeration, level recursion, star factorization,
 truncated composition)."""
 
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charp.combinat import Chain, enumerate_I, enumerate_star_chains, multinomial_residue
-from charp.errors import DivisibilityViolation
+from charp.errors import DegenerateLinearMap, DivisibilityViolation
 from charp.field import LaurentElement, val_p_ext
 from charp.recurrence import (
     Phi,
@@ -21,6 +23,7 @@ from charp.recurrence import (
     phi_k_via_recursion,
     psi_k,
 )
+from charp.criterion import verdict
 
 from conftest import make_map, numerator_by_enumeration, phi_by_enumeration, quadratic, random_maps
 
@@ -432,3 +435,26 @@ class TestConjugacyResidual:
         for j, x in enumerate(res, start=2):
             ref = b[j - 1] * quad.lam
             assert x.known_to is None or x.known_to > ref.val_t()
+
+
+class TestTableLifetime:
+    def test_table_dies_with_its_map(self):
+        # without the cycle collector: the table must not hold the map that
+        # holds it
+        gc.disable()
+        try:
+            f = make_map(5, {1: 1, 4: "t^10"})
+            verdict(f, Kmax=2)
+            table = weakref.ref(f.table())
+            del f
+            assert table() is None
+        finally:
+            gc.enable()
+
+    def test_degenerate_map_still_raises_on_use(self):
+        f = make_map(5, {})
+        table = f.table()
+        with pytest.raises(DegenerateLinearMap):
+            table.psi(0, 0, 1)
+        with pytest.raises(DegenerateLinearMap):
+            psi_k(f, 0, 0, 1)
