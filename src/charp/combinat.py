@@ -7,6 +7,7 @@ sums go through the interval dynamic programming in :mod:`charp.recurrence`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -131,6 +132,7 @@ def lucas_vanishes(r: int, alpha: MultiIndex, j: int, p: int) -> bool:
     return (r + 1) // q > sum(v // q for _, v in alpha.entries)
 
 
+@functools.lru_cache(maxsize=8192)
 def degree_solutions(support: tuple, d: int) -> tuple:
     """All support-restricted solutions of sum i*alpha_i = d, as tuples
     (weight, slots, entries): weight = sum alpha_i, slots = the values over
@@ -138,13 +140,11 @@ def degree_solutions(support: tuple, d: int) -> tuple:
 
     Ordered by decreasing weight then ascending slots, which is exactly the
     dense lexicographic order of the full multi-indices once alpha_0 =
-    r + 1 - weight is prepended.  Cached: the window base point r only enters
-    through the weight budget, so every window of the same gap shares this.
+    r + 1 - weight is prepended.  Cached process-wide: the window base point
+    r only enters through the weight budget, so every window of the same gap,
+    in every table of the same support, shares this.  The cache bound counts
+    entries, one per (support, d), not solutions.
     """
-    key = (support, d)
-    got = _DEGREE_CACHE.get(key)
-    if got is not None:
-        return got
     idxs = sorted(i for i in support if 0 < i <= d)
     sols = []
     # recurse from the largest stride down so the final (smallest) index is
@@ -169,21 +169,7 @@ def degree_solutions(support: tuple, d: int) -> tuple:
 
     rec(0, d, [])
     sols.sort(key=lambda ws: (-ws[0], ws[1]))
-    got = tuple(sols)
-    global _degree_cache_load
-    if _degree_cache_load + len(got) > _DEGREE_CACHE_BUDGET:
-        _DEGREE_CACHE.clear()
-        _degree_cache_load = 0
-    _DEGREE_CACHE[key] = got
-    _degree_cache_load += len(got)
-    return got
-
-
-# solution tuples cached across windows; wide multi-term supports at long
-# gaps can reach millions of tuples, so the cache resets past a budget
-_DEGREE_CACHE: dict = {}
-_DEGREE_CACHE_BUDGET = 200_000
-_degree_cache_load = 0
+    return tuple(sols)
 
 
 def enumerate_I(f, r: int, s: int) -> list[MultiIndex]:
@@ -218,10 +204,6 @@ class Chain:
         t = self.terms
         if len(t) < 2 or any(a >= b for a, b in zip(t, t[1:])):
             raise ValueError(f"chain terms must strictly increase: {t}")
-
-    @property
-    def middle_count(self):
-        return len(self.terms) - 2
 
     def pairs(self):
         return list(zip(self.terms, self.terms[1:]))

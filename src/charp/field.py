@@ -198,10 +198,6 @@ class LaurentElement:
         return cls(p, 0, (1,))
 
     @classmethod
-    def t_power(cls, p, e, c=1):
-        return cls(p, e, (c % p,))
-
-    @classmethod
     def from_terms(cls, p, terms):
         """Exact element from a mapping exponent -> integer coefficient."""
         terms = {e: c % p for e, c in terms.items() if c % p}

@@ -27,7 +27,7 @@ from .combinat import (
 )
 from .errors import PrecisionExhausted, UncertifiedLeadingTerm
 from .field import LaurentElement, Multiplier, PrimeContext, make_lambda, val_p, val_p_ext
-from .recurrence import DynamicalSeries, LevelTable, Phi_chain, _tbl
+from .recurrence import DynamicalSeries, LevelTable, Phi_chain, _tbl, run_certified
 
 INF = math.inf
 
@@ -71,10 +71,13 @@ def _min_hi(bounds):
 def _certify_bound(table, mult, elem_thunk, rhs, strict):
     """Certify val_mu(elem) > rhs (strict) or >= rhs, escalating as needed.
 
-    Returns (ok, lhs_description).  Raises PrecisionExhausted when the
-    element stays zero-up-to-horizon below the bound at the window cap.
+    Returns (ok, lhs_description).  A lower bound below rhs without a
+    certified leading term decides nothing, so it escalates through
+    run_certified; PrecisionExhausted is raised when the element stays
+    zero-up-to-horizon below the bound at the window cap.
     """
-    while True:
+
+    def attempt():
         e = elem_thunk()
         lb = mult.val_mu_lb(e)
         if lb == INF:
@@ -83,7 +86,9 @@ def _certify_bound(table, mult, elem_thunk, rhs, strict):
             return True, str(lb) if e.has_certified_leading_term() else f">={lb}"
         if e.has_certified_leading_term():
             return False, str(lb)  # exact valuation, bound genuinely fails
-        table.escalate()
+        raise UncertifiedLeadingTerm(f"val_mu >= {lb} does not decide the bound {rhs}")
+
+    return run_certified(table, attempt)
 
 
 def check_congruence(f: DynamicalSeries, k: int, r: int, s: int, m: int, table: LevelTable | None = None) -> CheckCase:
@@ -315,12 +320,7 @@ def check_window_vanishing(f: DynamicalSeries, bound: int | None = None, table: 
 
 def _sim_check(t, mult, name, params, lhs_thunk, rhs):
     try:
-        while True:
-            try:
-                ok = mult.is_similar(lhs_thunk(), rhs)
-                break
-            except UncertifiedLeadingTerm:
-                t.escalate()
+        ok = run_certified(t, lambda: mult.is_similar(lhs_thunk(), rhs))
     except PrecisionExhausted:
         return CheckCase(name, params, SKIP, "precision exhausted")
     return CheckCase(name, params, PASS if ok else FAIL)
@@ -361,16 +361,8 @@ def check_two_term_family(f: DynamicalSeries, table: LevelTable | None = None) -
     crit = Fraction(p - 2, p - 1)
 
     def val_equals(name, elem_thunk, want):
-        def run():
-            return mult.val_mu(elem_thunk())
-
         try:
-            while True:
-                try:
-                    got = run()
-                    break
-                except UncertifiedLeadingTerm:
-                    t.escalate()
+            got = run_certified(t, lambda: mult.val_mu(elem_thunk()))
         except PrecisionExhausted:
             return CheckCase(name, base, SKIP, "precision exhausted")
         return CheckCase(name, base, PASS if got == want else FAIL, f"val={got} want={want}")

@@ -10,6 +10,8 @@ and the level-k sums phi_k(r, s), which add up products of Phi over chains
 from r to s whose interior avoids multiples of p^k.  Chain sets grow like
 2^(s-r-1), so phi_k is computed by an O((s-r)^2)-edge interval dynamic
 program over admissible points; explicit enumeration only appears in tests.
+The same DP gives the conjugacy coefficients: b_n is the level-inf chain
+sum phi_inf(0, n/u), so b_coeffs reads nodes of one shared sweep.
 
 The DP is sparse.  Its per-(k, r) state keeps only the nodes whose value is
 not an exact zero (a horizon zero, known to vanish only up to the window, is
@@ -20,20 +22,21 @@ only.  Windows that no multi-index can fill are recognized by a weight bound
 
 Every sum of products is one packed multiply-accumulate
 (LaurentElement.dot): the terms residue * a^alpha * lambda^alpha0 of a
-numerator, the terms g[y] * numerator(y, x) of a DP node, and the terms
-b_l * Phi(l, n) of b_n.  A multinomial residue is split as
-binom(r+1, w) * (w! / prod(parts!)) mod p, w the weight of the solution:
-the second factor depends only on the gap s - r and is computed once per
-degree solution, so only the binomial is evaluated per window.
+numerator, and the terms g[y] * numerator(y, x) of a DP node, b_n
+included.  A multinomial residue is split as binom(r+1, w) *
+(w! / prod(parts!)) mod p, w the weight of the solution: the second factor
+depends only on the gap s - r and is computed once per degree solution, so
+only the binomial is evaluated per window.
 
 A LevelTable owns the memoized values of one map at one working window.
 The values that depend only on lambda and the window (the prefactors
 1/(lambda(1 - lambda^s)), the psi rescaling factors, window powers of
 lambda) live on the Multiplier, which every map with the same (p, lambda)
 shares.  Escalation (enlarging the window after an uncertified valuation
-query) wipes every value of the table that depends on the window and keeps
-the per-gap solution data.  A table keeps a copy of its map without the
-map's own table, so the two do not form a reference cycle.
+query) happens only in run_certified: it wipes every value of the table
+that depends on the window and keeps the per-gap solution data.  A table
+keeps a copy of its map without the map's own table, so the two do not
+form a reference cycle.
 """
 
 from __future__ import annotations
@@ -512,8 +515,14 @@ class ConjugacyPrefix:
 
 
 def b_coeffs(f: DynamicalSeries, N: int, table: LevelTable | None = None) -> ConjugacyPrefix:
-    """Conjugacy coefficients by the triangular recurrence
-    b_n = sum_{l < n} b_l * Phi(l, n), b_0 = 1."""
+    """Conjugacy coefficients of the triangular recurrence
+    b_n = sum_{l < n} b_l * Phi(l, n), b_0 = 1.
+
+    Expanded, the recurrence sums Phi-products over every chain 0 -> n, and
+    only multiples of u carry a nonzero b_l, so b_n is the level-inf chain
+    sum phi_inf(0, n/u).  The (inf, 0) DP state is shared: the first call
+    sweeps the range, later ones read stored nodes.  A map with empty
+    support gives [1, 0, 0, ...]."""
     if N < 0:
         raise ValueError("need N >= 0")
     t = _tbl(f, table)
@@ -522,18 +531,7 @@ def b_coeffs(f: DynamicalSeries, N: int, table: LevelTable | None = None) -> Con
     b = [LaurentElement.one(p)]
     zero = LaurentElement.zero(p)
     for n in range(1, N + 1):
-        if u == 0 or n % u:
-            b.append(zero)
-            continue
-        triples = []
-        for l in range(0, n, u):
-            if b[l].is_exact_zero() or t.window_is_empty(l, n):
-                continue
-            step = t.Phi(l, n)
-            if step.is_exact_zero():
-                continue
-            triples.append((1, b[l], step))
-        b.append(LaurentElement.dot(p, triples))
+        b.append(zero if u == 0 or n % u else t.phi(INF, 0, n // u))
     return ConjugacyPrefix(tuple(b))
 
 

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from charp.cli import JobConfig, build_map, main
-from charp.field import _shared_multiplier
+from charp.field import LaurentElement, _shared_multiplier
+from charp.recurrence import DynamicalSeries, b_coeffs
 
 
 def run_cli(argv):
@@ -110,6 +111,32 @@ class TestBseries:
         lines = out.splitlines()
         for n in (1, 3, 5):
             assert f"{n},," in lines
+
+    def test_escalating_rows_are_pinned(self):
+        # b_n under escalation from window 1: sha256 of stdout recorded while
+        # b_coeffs still summed b_l * Phi(l, n) by its own loop
+        code, out = run_cli(
+            ["bseries", "--p", "5", "--a", "1:1,4:2*t^-2",
+             "--window", "1", "--max-window", "64", "--N", "40"]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0940531ed077f49f4170b90816319564495c199ae706d9e2e284a9142e640cfa"
+        )
+
+    def test_exhaustion_exit_code(self, capsys):
+        code, out = run_cli(
+            ["bseries", "--p", "5", "--a", "1:1,4:2*t^-2",
+             "--window", "2", "--max-window", "4", "--N", "40"]
+        )
+        assert code == 3
+        assert "window cap 4 reached (at 4)" in capsys.readouterr().err
+
+    def test_empty_support_gives_the_identity(self):
+        f = DynamicalSeries.from_spec(5, {})
+        b = b_coeffs(f, 4)
+        assert b[0] == LaurentElement.one(5)
+        assert all(b[n].is_exact_zero() for n in range(1, 5))
 
 
 class TestLemmas:

@@ -2,11 +2,13 @@
 
 import pytest
 
-from charp.field import PrimeContext, make_lambda
+from charp.errors import UncertifiedLeadingTerm
+from charp.field import LaurentElement, PrimeContext, make_lambda
 from charp.lemma_lab import (
     FAIL,
     PASS,
     SKIP,
+    _certify_bound,
     check_extremal_residue,
     check_congruence,
     check_deep_level,
@@ -139,6 +141,73 @@ class TestTwoTermFamily:
     def test_quadratic_counts_as_degenerate_family_member(self, quad):
         cases = check_two_term_family(quad)  # a_{p-1} = 0: T = -inf, first regime
         assert any(c.name == "twoterm-low-T-phi" and c.outcome == PASS for c in cases)
+
+
+# Each check started from window 1 (cap 8192): the outcome and detail of
+# its cases and the window the map's table ended at, above 1 when the check
+# certified only after escalating.  Recorded while each check ran its own
+# escalation loop.
+NARROW_CHECKS = {
+    "congruence": lambda f: [check_congruence(f, 1, 0, 5, 5)],
+    "level-lift": lambda f: [check_level_lift(f, 1, 0, 10)],
+    "deep-level": lambda f: [check_deep_level(f, 2, 5, 10)],
+    "two-term": check_two_term_family,
+}
+LOW_T = [
+    ("twoterm-low-T-phi", PASS, "val=-8 want=-8"),
+    ("twoterm-low-T-slope", PASS, "M1(0,p)=-8/5"),
+]
+NARROW_RECORDED = [
+    ({1: 1}, "congruence", [("congruence", PASS, "val=-5 bound=-6")], 4),
+    ({1: 1}, "level-lift", [("level-lift", PASS, "val=-16 bound=-16")], 1),
+    ({1: 1}, "deep-level", [("deep-level", PASS, "val=-8 bound=-8")], 1),
+    ({1: 1}, "two-term", LOW_T, 1),
+    ({1: 1, 4: "t^10"}, "congruence", [("congruence", PASS, "val=-5 bound=-6")], 4),
+    ({1: 1, 4: "t^10"}, "level-lift", [("level-lift", PASS, "val=-16 bound=-16")], 1),
+    ({1: 1, 4: "t^10"}, "deep-level", [("deep-level", PASS, "val=-8 bound=-8")], 1),
+    ({1: 1, 4: "t^10"}, "two-term", LOW_T, 1),
+    ({1: "t^10", 4: "t"}, "congruence", [("congruence", PASS, "val=>=6 bound=-1")], 1),
+    ({1: "t^10", 4: "t"}, "level-lift", [("level-lift", PASS, "val=10 bound=10")], 2),
+    ({1: "t^10", 4: "t"}, "deep-level", [("deep-level", PASS, "val=5 bound=0")], 2),
+    ({1: "t^10", 4: "t"}, "two-term", [
+        ("twoterm-high-T-similar", PASS, ""),
+        ("twoterm-high-T-similar", PASS, ""),
+        ("twoterm-high-T-next-level", PASS, "val=-175 want=-175"),
+    ], 1),
+    ({1: 1, 4: "2*t^-2"}, "congruence", [("congruence", PASS, "val=-5 bound=-6")], 4),
+    ({1: 1, 4: "2*t^-2"}, "level-lift", [("level-lift", PASS, "val=>=-12 bound=-12")], 4),
+    ({1: 1, 4: "2*t^-2"}, "deep-level", [("deep-level", PASS, "val=-5 bound=-6")], 4),
+    ({1: 1, 4: "2*t^-2"}, "two-term", [
+        ("twoterm-boundary-T", SKIP, "boundary T=(p-2)/(p-1)"),
+    ], 1),
+]
+
+
+class TestEscalation:
+    @pytest.mark.parametrize(
+        "coeffs, check, cases, window",
+        NARROW_RECORDED,
+        ids=[f"{c}-{check}" for c, check, _cases, _w in NARROW_RECORDED],
+    )
+    def test_narrow_start_matches_record(self, coeffs, check, cases, window):
+        f = make_map(5, coeffs, default_window=1, max_window=8192)
+        got = NARROW_CHECKS[check](f)
+        assert [(c.name, c.outcome, c.detail) for c in got] == cases
+        assert f.table().window == window
+
+    def test_uncertified_element_escalates(self):
+        # an element thunk that cannot certify below window 4 is retried at
+        # a wider window, not let out of the bound check
+        f = make_map(5, {1: 1}, default_window=1, max_window=8)
+        t = f.table()
+
+        def elem():
+            if t.window < 4:
+                raise UncertifiedLeadingTerm("not yet")
+            return LaurentElement.one(5)
+
+        assert _certify_bound(t, f.multiplier, elem, 0, strict=False) == (True, "0")
+        assert t.window == 4
 
 
 class TestSuite:
