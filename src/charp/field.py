@@ -154,6 +154,9 @@ def _inv(a, p, n) -> list:
     return x[:n]
 
 
+_ZEROS = {}  # p -> the shared exact zero of F_p((t))
+
+
 class LaurentElement:
     """A certified window of a Laurent series over F_p.
 
@@ -191,7 +194,11 @@ class LaurentElement:
 
     @classmethod
     def zero(cls, p):
-        return cls(p, 0, ())
+        """The exact zero; one shared instance per p (elements are immutable)."""
+        got = _ZEROS.get(p)
+        if got is None:
+            got = _ZEROS[p] = cls(p, 0, ())
+        return got
 
     @classmethod
     def one(cls, p):
@@ -353,7 +360,9 @@ class LaurentElement:
                 live.append((c, xc, yc, v))
         known_to = None if known == INF else known
         if not live or min(hi, known) <= lo:
-            return LaurentElement(p, 0, (), known_to)
+            if known_to is None:
+                return LaurentElement.zero(p)
+            return LaurentElement.zero_up_to(p, known_to)
         width = min(hi, known) - lo
         cube = (p - 1) ** 3
         if cube < _LIMB_CAP:
@@ -689,11 +698,11 @@ class Multiplier:
         va = self.val_mu(a)
         if va is INF:
             return False
-        lb = self.val_mu_lb(a - b)
-        if lb > va:
+        diff = a - b
+        if self.val_mu_lb(diff) > va:
             return True
         # the difference has a certified leading term at or below val(a)
-        if (a - b).has_certified_leading_term():
+        if diff.has_certified_leading_term():
             return False
         raise UncertifiedLeadingTerm("difference not certified deep enough")
 

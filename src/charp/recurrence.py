@@ -26,22 +26,27 @@ numerator, and the terms g[y] * numerator(y, x) of a DP node, b_n
 included.  A multinomial residue is split as binom(r+1, w) *
 (w! / prod(parts!)) mod p, w the weight of the solution: the second factor
 depends only on the gap s - r and is computed once per degree solution, so
-only the binomial is evaluated per window.
+only the binomial is read per window, from the Pascal row of r + 1 mod p
+that one process-wide cache holds.
 
-A LevelTable owns the memoized values of one map at one working window.
-The values that depend only on lambda and the window (the prefactors
-1/(lambda(1 - lambda^s)), the psi rescaling factors, window powers of
-lambda) live on the Multiplier, which every map with the same (p, lambda)
-shares.  Escalation (enlarging the window after an uncertified valuation
-query) happens only in run_certified: it wipes every value of the table
-that depends on the window and keeps the per-gap solution data.  A table
-keeps a copy of its map without the map's own table, so the two do not
-form a reference cycle.
+A LevelTable owns the memoized values of one map at one working window:
+numerators, Phi, the DP states and phi_k, and psi_k, so a repeated Phi or
+psi query costs no multiplication by its prefactor.  Phi_chain looks up
+every step before it multiplies, so a chain with an exact-zero step costs
+no product at all.  The values that depend only on lambda and the window
+(the prefactors 1/(lambda(1 - lambda^s)), the psi rescaling factors,
+window powers of lambda) live on the Multiplier, which every map with the
+same (p, lambda) shares.  Escalation (enlarging the window after an
+uncertified valuation query) happens only in run_certified: it wipes every
+value of the table that depends on the window, the Phi and psi memos
+included, and keeps the per-gap solution data.  A table keeps a copy of its
+map without the map's own table, so the two do not form a reference cycle.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -64,6 +69,14 @@ from .field import (
 )
 
 INF = math.inf
+
+
+@functools.lru_cache(maxsize=4096)
+def _binomial_row(n: int, p: int) -> bytes:
+    """binom(n, w) mod p for w = 0..n, one byte each.  Cached process-wide:
+    every numerator with base point r = n - 1, in every table over F_p,
+    reads the same row."""
+    return bytes(binomial_residue(n, w, p) for w in range(n + 1))
 
 
 class DynamicalSeries:
@@ -155,8 +168,11 @@ class LevelTable:
         self._reset()
 
     def _reset(self):
+        # every value below depends on the window, so escalate drops them all
         self._num = {}        # (r, s) -> numerator of Phi
+        self._Phi = {}        # (r, s) -> Phi(r, s), numerator times prefactor
         self._phi = {}        # (k, r, s) -> phi_k(r, s)
+        self._psi = {}        # (k, r, s) -> psi_k(r, s), phi_k times rescaling
         self._dp = {}         # (k, r) -> {"g": {x: value, not exact zero}, "hi": int}
         self._pow_win = {}    # (i, e) -> window-truncated power of a_i, i >= 1
         self._gap_prod = {}   # (s - r, entries) -> coefficient-power product
@@ -281,6 +297,7 @@ class LevelTable:
         window = self.window
         cap = vfloor + window
         lam_pow = self.f.multiplier.window_pow
+        binom = _binomial_row(r + 1, p)
         dropped = []
         triples = []
         for weight, tval, entries, gres in sols[first:]:
@@ -289,7 +306,7 @@ class LevelTable:
                 continue
             if not gres:
                 continue
-            c = binomial_residue(r + 1, weight, p) * gres % p
+            c = binom[weight] * gres % p
             if c == 0:
                 continue
             triples.append(
@@ -300,7 +317,7 @@ class LevelTable:
             # nothing certified below the pruned region: residues there are
             # cheap and decide between a structural zero and a horizon zero
             for weight, tval, gres in dropped:
-                if gres and binomial_residue(r + 1, weight, p):
+                if gres and binom[weight]:
                     horizon = tval if horizon is None else min(horizon, tval)
             dropped = [] if horizon is None else dropped
         elif dropped:
@@ -320,10 +337,14 @@ class LevelTable:
 
     def Phi(self, r: int, s: int) -> LaurentElement:
         """The recurrence kernel on the raw window (r, s)."""
-        num = self.numerator(r, s)
-        if num.is_exact_zero():
-            return num
-        return num * self._inv_prefactor(s)
+        key = (r, s)
+        got = self._Phi.get(key)
+        if got is None:
+            got = self.numerator(r, s)
+            if not got.is_exact_zero():
+                got = got * self._inv_prefactor(s)
+            self._Phi[key] = got
+        return got
 
     # -- level sums by interval DP -------------------------------------------
 
@@ -399,10 +420,14 @@ class LevelTable:
     def psi(self, k: int, r: int, s: int) -> LaurentElement:
         """phi_k rescaled so that its valuation over (s - r) is the Newton
         slope; the rescaling is valuation-neutral exactly when val_p(s) = k."""
-        ph = self.phi(k, r, s)
-        if ph.is_exact_zero():
-            return ph
-        return ph * self._psi_prefactor(k, s)
+        key = (k, r, s)
+        got = self._psi.get(key)
+        if got is None:
+            got = self.phi(k, r, s)
+            if not got.is_exact_zero():
+                got = got * self._psi_prefactor(k, s)
+            self._psi[key] = got
+        return got
 
 
 def run_certified(table: LevelTable, thunk):
@@ -426,14 +451,17 @@ def Phi(f: DynamicalSeries, r: int, s: int, table: LevelTable | None = None) -> 
 
 
 def Phi_chain(f: DynamicalSeries, beta: Chain, table: LevelTable | None = None) -> LaurentElement:
-    """Product of Phi over consecutive chain pairs, scaled by u."""
+    """Product of Phi over consecutive chain pairs, scaled by u.
+
+    Every step is looked up (memoized) before any product is formed, so a
+    chain with an exact-zero step costs no multiplication."""
     t = _tbl(f, table)
     u = f.u
+    steps = [t.Phi(u * b0, u * b1) for b0, b1 in beta.pairs()]
+    if any(step.is_exact_zero() for step in steps):
+        return LaurentElement.zero(f.p)
     out = LaurentElement.one(f.p)
-    for b0, b1 in beta.pairs():
-        step = t.Phi(u * b0, u * b1)
-        if step.is_exact_zero():
-            return LaurentElement.zero(f.p)
+    for step in steps:
         out = out * step
     return out
 

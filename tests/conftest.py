@@ -7,6 +7,7 @@ direct truncated composition.
 """
 
 import math
+import os
 import random
 
 import pytest
@@ -16,6 +17,15 @@ from charp.field import LaurentElement
 from charp.recurrence import DynamicalSeries, Phi_chain
 
 INF = math.inf
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def child_env():
+    """The environment for a child interpreter that imports charp from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(x for x in (SRC, env.get("PYTHONPATH")) if x)
+    return env
 
 
 def quadratic(p=5, **kw):

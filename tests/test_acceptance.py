@@ -32,7 +32,7 @@ from charp.recurrence import (
     phi_k_via_recursion,
 )
 
-from conftest import make_map, phi_by_enumeration, quadratic, random_maps
+from conftest import child_env, make_map, phi_by_enumeration, quadratic, random_maps
 
 INF = math.inf
 
@@ -257,7 +257,8 @@ def test_criterion_9_byte_determinism():
     ]
     for cmd in commands:
         full = [sys.executable, "-m", "charp.cli"] + cmd
-        a = subprocess.run(full, capture_output=True)
-        b = subprocess.run(full, capture_output=True)
+        a = subprocess.run(full, capture_output=True, env=child_env())
+        b = subprocess.run(full, capture_output=True, env=child_env())
+        assert a.returncode == 0 and a.stdout, a.stderr
         assert a.stdout == b.stdout and a.returncode == b.returncode
     budget.done()

@@ -89,6 +89,12 @@ class TestArithmetic:
         with pytest.raises(UncertifiedLeadingTerm):
             h.val_t()
 
+    def test_exact_zero_is_shared_per_prime(self):
+        z = LaurentElement.zero(5)
+        assert LaurentElement.zero(5) is z
+        assert el(5, "t") * z is z
+        assert LaurentElement.zero(3) is not z and LaurentElement.zero(3).p == 3
+
     def test_truncation_window_shrinks_in_products(self):
         a = el(5, "1 + t").truncate(3)  # known below t^3
         b = el(5, "1 + t^2")

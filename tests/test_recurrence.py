@@ -10,12 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charp.combinat import Chain, enumerate_I, enumerate_star_chains, multinomial_residue
+from charp.combinat import (
+    Chain,
+    binomial_residue,
+    enumerate_chains,
+    enumerate_I,
+    enumerate_star_chains,
+    multinomial_residue,
+)
 from charp.errors import DegenerateLinearMap, DivisibilityViolation
 from charp.field import LaurentElement, val_p_ext
 from charp.recurrence import (
+    LevelTable,
     Phi,
     Phi_chain,
+    _binomial_row,
     b_coeffs,
     b_via_structure,
     conjugacy_residual,
@@ -216,6 +225,74 @@ class TestNumerator:
         fresh = make_map(5, {1: 1, 4: "2*t^-2"}, default_window=2).table()
         for (r, s) in [(3, 9), (0, 4), (2, 3)]:
             assert t.numerator(r, s) == fresh.numerator(r, s)
+
+
+class TestBinomialRows:
+    # the numerator reads binom(r+1, w) mod p from one cached row per
+    # (r+1, p) instead of calling binomial_residue per solution
+
+    @given(p=st.sampled_from([3, 5, 7]), n=st.integers(0, 2000))
+    @settings(max_examples=60, deadline=None)
+    def test_row_matches_lucas_and_factorials(self, p, n):
+        row = _binomial_row(n, p)
+        assert isinstance(row, bytes) and len(row) == n + 1
+        for w in range(n + 1):
+            assert row[w] == binomial_residue(n, w, p) == math.comb(n, w) % p
+
+
+class TestKernelMemo:
+    # Phi and psi are memoized per window on the table; a memoized value
+    # must be the value a cold table computes, also after escalate()
+
+    WINDOWS = [(r, s) for r in range(0, 10) for s in range(r + 1, 13)]
+    SAMPLES = [(0, 0, 1), (0, 2, 5), (0, 0, 5), (1, 0, 5), (1, 5, 10), (1, 0, 10), (2, 0, 10), (2, 0, 25)]
+
+    def test_memoized_values_equal_a_fresh_table(self):
+        for f in random_maps(seed=61, count=8):
+            t = f.table()
+            first = {key: t.Phi(*key) for key in self.WINDOWS}
+            psis = {key: t.psi(*key) for key in self.SAMPLES}
+            for key, val in first.items():
+                assert t.Phi(*key) is val
+                assert val == LevelTable(f).Phi(*key), (f, key)
+            for key, val in psis.items():
+                assert t.psi(*key) is val
+                assert val == LevelTable(f).psi(*key), (f, key)
+
+    def test_escalate_drops_the_memos(self):
+        f = make_map(5, {1: 1, 4: "2*t^-2"}, default_window=2, max_window=64)
+        t = f.table()
+        before = {("Phi",) + key: t.Phi(*key) for key in self.WINDOWS}
+        before.update({("psi",) + key: t.psi(*key) for key in self.SAMPLES})
+        moved = 0
+        for _ in range(2):
+            t.escalate()
+            for key, old in before.items():
+                kind, args = key[0], key[1:]
+                got = getattr(t, kind)(*args)
+                fresh = LevelTable(f, window=t.window)
+                assert got == getattr(fresh, kind)(*args), (t.window, key)
+                moved += got != old
+        assert t.window == 8
+        assert moved  # a memo kept across escalate would show here
+
+    def test_chain_vanishes_on_its_last_step(self):
+        f = make_map(5, {1: 1, 2: 1})
+        chain = Chain((0, 1, 4, 6), INF)
+        steps = [Phi(f, a, b) for a, b in chain.pairs()]
+        assert not steps[0].is_exact_zero() and not steps[1].is_exact_zero()
+        assert steps[2].is_exact_zero()  # p | 4 + 1 and p does not divide 6 - 4
+        assert Phi_chain(f, chain).is_exact_zero()
+
+    def test_chain_is_the_left_to_right_product(self):
+        for f in random_maps(seed=62, count=6):
+            u = f.u
+            for r, s in [(0, 4), (1, 6), (0, 7)]:
+                for chain in enumerate_chains(INF, r, s, f.p, budget=7):
+                    want = LaurentElement.one(f.p)
+                    for a, b in chain.pairs():
+                        want = want * Phi(f, u * a, u * b)
+                    assert Phi_chain(f, chain) == want, (f, chain)
 
 
 class TestLevelRecursion:
