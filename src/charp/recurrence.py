@@ -72,11 +72,12 @@ INF = math.inf
 
 
 @functools.lru_cache(maxsize=4096)
-def _binomial_row(n: int, p: int) -> bytes:
-    """binom(n, w) mod p for w = 0..n, one byte each.  Cached process-wide:
-    every numerator with base point r = n - 1, in every table over F_p,
-    reads the same row."""
-    return bytes(binomial_residue(n, w, p) for w in range(n + 1))
+def _binomial_row(n: int, p: int) -> tuple[int, ...]:
+    """binom(n, w) mod p for w = 0..n.  A tuple, since residues run up to
+    p - 1 and p is any odd prime.  Cached process-wide: every numerator
+    with base point r = n - 1, in every table over F_p, reads the same
+    row."""
+    return tuple(binomial_residue(n, w, p) for w in range(n + 1))
 
 
 class DynamicalSeries:
@@ -453,13 +454,16 @@ def Phi(f: DynamicalSeries, r: int, s: int, table: LevelTable | None = None) -> 
 def Phi_chain(f: DynamicalSeries, beta: Chain, table: LevelTable | None = None) -> LaurentElement:
     """Product of Phi over consecutive chain pairs, scaled by u.
 
-    Every step is looked up (memoized) before any product is formed, so a
-    chain with an exact-zero step costs no multiplication."""
+    Steps are looked up (memoized) before any product is formed, stopping
+    at the first exact zero, so a vanishing chain costs no multiplication."""
     t = _tbl(f, table)
     u = f.u
-    steps = [t.Phi(u * b0, u * b1) for b0, b1 in beta.pairs()]
-    if any(step.is_exact_zero() for step in steps):
-        return LaurentElement.zero(f.p)
+    steps = []
+    for b0, b1 in beta.pairs():
+        step = t.Phi(u * b0, u * b1)
+        if step.is_exact_zero():
+            return LaurentElement.zero(f.p)
+        steps.append(step)
     out = LaurentElement.one(f.p)
     for step in steps:
         out = out * step

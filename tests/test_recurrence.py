@@ -231,13 +231,38 @@ class TestBinomialRows:
     # the numerator reads binom(r+1, w) mod p from one cached row per
     # (r+1, p) instead of calling binomial_residue per solution
 
-    @given(p=st.sampled_from([3, 5, 7]), n=st.integers(0, 2000))
+    @given(p=st.sampled_from([3, 5, 7, 257, 1009]), n=st.integers(0, 2000))
     @settings(max_examples=60, deadline=None)
     def test_row_matches_lucas_and_factorials(self, p, n):
         row = _binomial_row(n, p)
-        assert isinstance(row, bytes) and len(row) == n + 1
+        assert len(row) == n + 1
         for w in range(n + 1):
             assert row[w] == binomial_residue(n, w, p) == math.comb(n, w) % p
+
+    @pytest.mark.parametrize(
+        "p, coeffs, windows",
+        [
+            # binom(11, 4) = 330 is a residue above 255 at r = 10
+            (1009, {1: 1, 2: "t^3"}, [(r, r + g) for r in (10, 11, 12) for g in range(1, 9)]),
+            # binom(256, w) mod 263 runs through residues above 255
+            (263, {1: 1}, [(255, 255 + g) for g in range(1, 6)] + [(260, 263)]),
+        ],
+    )
+    def test_large_prime_residues(self, p, coeffs, windows):
+        # residues run up to p - 1, well past one byte, for any odd prime
+        f = make_map(p, coeffs, default_window=8)
+        t = f.table()
+        assert any(c > 255 for r, _s in windows for c in _binomial_row(r + 1, p))
+        for r, s in windows:
+            got = t.numerator(r, s)
+            want = numerator_by_enumeration(f, r, s, 8)
+            if got.known_to is not None:
+                # the table holds lambda powers to the window; the oracle
+                # keeps them exact
+                assert got.known_to >= got.vmin + 8
+                want = want.truncate(got.known_to - got.vmin)
+            assert got == want, (r, s)
+            assert t.Phi(r, s) == LevelTable(f).Phi(r, s)
 
 
 class TestKernelMemo:
