@@ -59,14 +59,31 @@ class MultiIndex:
 _FACT_TABLES: dict[int, tuple[list[int], list[int]]] = {}
 
 
-def _fact_tables(p: int):
+def _fact_tables(p: int, values):
+    """d! mod p and its inverse, for every base-p digit d of the values.
+
+    The tables of p grow to the largest digit asked for, so a large p costs
+    only as many entries as its inputs have digits of that size."""
     tables = _FACT_TABLES.get(p)
     if tables is None:
-        fact = [1] * p
-        for i in range(2, p):
-            fact[i] = fact[i - 1] * i % p
-        inv_fact = [pow(x, p - 2, p) for x in fact]
-        _FACT_TABLES[p] = tables = (fact, inv_fact)
+        tables = _FACT_TABLES[p] = ([1], [1])
+    fact, inv_fact = tables
+    old = len(fact)
+    if old < p and max(values) >= old:  # a digit may be missing
+        top = 0
+        for x in values:
+            while x:
+                x, d = divmod(x, p)
+                if d > top:
+                    top = d
+        if top >= old:
+            for i in range(old, top + 1):
+                fact.append(fact[-1] * i % p)
+            # 1/d! = (d+1)/(d+1)!, downward from one modular inverse
+            tail = [pow(fact[top], p - 2, p)]
+            for i in range(top, old, -1):
+                tail.append(tail[-1] * i % p)
+            inv_fact.extend(reversed(tail))
     return tables
 
 
@@ -83,7 +100,7 @@ def multinomial_residue(top: int, parts, p: int) -> int:
         raise PartsMismatch("negative part")
     if sum(rem) != top:
         raise PartsMismatch(f"parts sum to {sum(rem)}, expected {top}")
-    fact, inv_fact = _fact_tables(p)
+    fact, inv_fact = _fact_tables(p, [top] + rem)
     res = 1
     while top:
         d = top % p
@@ -110,7 +127,7 @@ def binomial_residue(n: int, k: int, p: int) -> int:
     """
     if not 0 <= k <= n:
         raise PartsMismatch(f"need 0 <= k <= n, got k={k}, n={n}")
-    fact, inv_fact = _fact_tables(p)
+    fact, inv_fact = _fact_tables(p, (n, k))
     res = 1
     while k:
         nd = n % p

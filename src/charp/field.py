@@ -13,13 +13,18 @@ the window and recompute; the latter has valuation +infinity.
 
 Elements are immutable and every operation returns a new element.
 
-Coefficient vectors are multiplied by Kronecker packing: each vector becomes
-one big integer with 32-bit limbs, so a whole convolution (or a whole sum of
-convolutions, see :meth:`LaurentElement.dot`) runs inside CPython's long
-multiplication.  A limb of the result is at most the sum over products of
-min(len) * (p-1)**2 (times p-1 for a residue factor), so no carry crosses a
-limb boundary while that stays below 2**32; past that bound a product falls
-back to a plain convolution and a sum of products to pairwise products.
+Coefficient vectors are multiplied, added, negated and scaled by Kronecker
+packing: each vector becomes one big integer, so a whole convolution (or a
+whole sum of convolutions, see :meth:`LaurentElement.dot`) runs inside
+CPython's long arithmetic.  The limbs are 8, 16 or 32 bits wide, the
+narrowest that holds the largest value a limb of the result can reach: for
+a sum of products c * x * y that is sum(c * min(len x, len y)) * (p-1)**2,
+which must stay below 2**bits so that no carry crosses a limb boundary.
+Past 32 bits a product falls back to a plain convolution and a sum of
+products to pairwise products.  Each element caches its packed
+coefficients at the width it was last used at, so an operand used again is
+not packed again, and a prefix of it is a mask.  Results are reduced mod p
+by bytes.translate whenever every residue fits a byte.
 
 The Multiplier owns the values that depend only on p, lambda and a working
 width (truncated powers of lambda, the prefactors of Phi and psi), memoized
@@ -38,11 +43,6 @@ from fractions import Fraction
 from .errors import UncertifiedLeadingTerm
 
 INF = math.inf
-
-_LIMB_BITS = 32
-_LIMB_BYTES = 4
-_LIMB_CAP = 1 << _LIMB_BITS
-
 
 def val_p(n: int, p: int) -> int:
     """Largest e with p**e dividing n, for n >= 1."""
@@ -82,44 +82,108 @@ class PrimeContext:
         return f"PrimeContext(p={self.p}, default_window={self.default_window}, max_window={self.max_window})"
 
 
+# The first 13 primes as Miller-Rabin bases decide primality exactly below
+# 3317044064679887385961981 (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError past the range where its
+    bases are proven exact."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is not decided here (limit {_MR_LIMIT})")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 # -- coefficient kernel ------------------------------------------------------
 # Coefficient vectors are sequences of ints reduced mod p, lowest exponent
-# first.
+# first.  A vector is packed into one integer with limbs of 8, 16 or 32
+# bits; an operation picks the narrowest width that holds the largest value
+# one of its limbs can reach, and falls back to a plain loop past 32 bits.
 
-def _pack(vec) -> int:
-    return int.from_bytes(array("I", vec).tobytes(), "little")
-
-
-def _unpack(n: int, count: int, p: int) -> list:
-    raw = n.to_bytes(count * _LIMB_BYTES, "little")
-    return [x % p for x in array("I", raw)]
+_TYPECODES = {8: "B", 16: "H", 32: "I"}
+_USED = {bits: (bits, None) for bits in _TYPECODES}  # packed once, not kept
+_BYTE_TABLES = {}  # p -> per byte position j, the table b -> (b << 8j) % p
 
 
-def _mul(a, b, p, nmax=None) -> list:
-    """Truncated product of coefficient vectors: first nmax coefficients of a*b."""
-    if not a or not b:
-        return []
-    n = len(a) + len(b) - 1
-    if nmax is not None:
-        n = min(n, nmax)
-    if n <= 0:
-        return []
-    if min(len(a), len(b)) * (p - 1) * (p - 1) < _LIMB_CAP:
-        prod = _pack(a) * _pack(b)
-        prod &= (1 << (_LIMB_BITS * n)) - 1
-        return _unpack(prod, n, p)
-    # large-prime fallback: plain truncated convolution
+def _limb_bits(top):
+    """Narrowest limb width that holds every value up to `top`, or None."""
+    if top < 0x100:
+        return 8
+    if top < 0x10000:
+        return 16
+    if top < 0x100000000:
+        return 32
+    return None
+
+
+def _pack(vec, bits, p) -> int:
+    """vec as one integer with `bits`-bit limbs."""
+    size = bits >> 3
+    if p <= 256:
+        raw = bytes(vec)
+        if size > 1:
+            wide = bytearray(len(raw) * size)
+            wide[::size] = raw
+            raw = wide
+        return int.from_bytes(raw, "little")
+    return int.from_bytes(array(_TYPECODES[bits], vec).tobytes(), "little")
+
+
+def _residues(n, count, bits, p):
+    """The first `count` limbs of n, reduced mod p (n holds no more limbs).
+
+    When every byte of a limb, reduced with its place value, and their sum
+    fit a byte, the limbs are reduced by bytes.translate and come back as
+    bytes; otherwise as a list."""
+    size = bits >> 3
+    raw = n.to_bytes(count * size, "little")
+    if size * (p - 1) < 0x100:
+        tables = _BYTE_TABLES.get(p)
+        if tables is None:
+            tables = _BYTE_TABLES[p] = tuple(
+                bytes((b << (8 * j)) % p for b in range(0x100)) for j in range(4)
+            )
+        if size == 1:
+            return raw.translate(tables[0])
+        acc = 0
+        for j in range(size):
+            acc += int.from_bytes(raw[j::size].translate(tables[j]), "little")
+        return acc.to_bytes(count, "little").translate(tables[0])
+    return [x % p for x in array(_TYPECODES[bits], raw)]
+
+
+def _negated(vec, p):
+    """The residues of -vec, as (p-1) * vec."""
+    bits = _limb_bits((p - 1) ** 2)
+    if bits is None:
+        return [(-c) % p for c in vec]
+    return _residues((p - 1) * _pack(vec, bits, p), len(vec), bits, p)
+
+
+def _plain_mul(a, b, p, n) -> list:
+    """First n coefficients of a*b by a plain convolution (any p)."""
     out = [0] * n
     for i, ai in enumerate(a):
         if ai == 0 or i >= n:
@@ -132,11 +196,31 @@ def _mul(a, b, p, nmax=None) -> list:
     return out
 
 
+def _mul(a, b, p, nmax=None):
+    """Truncated product of coefficient vectors: first nmax coefficients of
+    a*b, as a sequence of residues."""
+    if not a or not b:
+        return []
+    n = len(a) + len(b) - 1
+    if nmax is not None:
+        n = min(n, nmax)
+    if n <= 0:
+        return []
+    a = a[:n]
+    b = b[:n]
+    bits = _limb_bits(min(len(a), len(b)) * (p - 1) ** 2)
+    if bits is None:
+        return _plain_mul(a, b, p, n)
+    prod = (_pack(a, bits, p) * _pack(b, bits, p)) & ((1 << (bits * n)) - 1)
+    return _residues(prod, n, bits, p)
+
+
 def _inv(a, p, n) -> list:
     """First n coefficients of 1/a for a unit series (a[0] != 0 mod p).
 
-    Newton iteration x -> x*(2 - a*x), doubling the certified length each
-    round; every step reuses the packed multiplication above.
+    Newton iteration x -> x*(2 - a*x), doubling the certified length L each
+    round: a*x = 1 + t^L*e, so the new coefficients L..m-1 are those of
+    -x*e, and the old ones stay.
     """
     if not a or a[0] % p == 0:
         raise ZeroDivisionError("series has no invertible leading coefficient")
@@ -144,17 +228,45 @@ def _inv(a, p, n) -> list:
         return []
     x = [pow(a[0], p - 2, p)]
     while len(x) < n:
-        m = min(2 * len(x), n)
-        ax = _mul(a[:m], x, p, m)
-        t = [(-c) % p for c in ax]
-        t[0] = (t[0] + 2) % p
-        x = _mul(x, t, p, m)
-        if len(x) < m:
-            x = x + [0] * (m - len(x))
-    return x[:n]
+        size = len(x)
+        m = min(2 * size, n)
+        e = _mul(a, x, p, m)[size:]
+        x += _mul(x, _negated(e, p), p, m - size)
+        x += [0] * (m - len(x))
+    return x
 
 
 _ZEROS = {}  # p -> the shared exact zero of F_p((t))
+
+
+def _element(p, lo, digits, known_to):
+    """The element with residues `digits` at exponents lo, lo + 1, ...,
+    none of them at or past known_to; zeros at either end are stripped."""
+    if type(digits) is bytes:
+        end = digits.rstrip(b"\0")
+        body = end.lstrip(b"\0")
+        lo += len(end) - len(body)
+        coeffs = tuple(body)
+    else:
+        i = 0
+        j = len(digits)
+        while j and digits[j - 1] == 0:
+            j -= 1
+        while i < j and digits[i] == 0:
+            i += 1
+        lo += i
+        coeffs = tuple(digits[i:j])
+    if not coeffs:
+        if known_to is None:
+            return LaurentElement.zero(p)
+        lo = 0
+    x = object.__new__(LaurentElement)
+    x.p = p
+    x.vmin = lo
+    x.coeffs = coeffs
+    x.known_to = known_to
+    x._packed = None
+    return x
 
 
 class LaurentElement:
@@ -164,9 +276,14 @@ class LaurentElement:
     leading and trailing stored coefficients are nonzero (or the store is
     empty).  Exponents from the end of the store up to known_to are known to
     be zero; from known_to on, nothing is claimed.
+
+    _packed caches the coefficients packed at one limb width, as (bits,
+    integer), from the second use at that width on; after the first it
+    holds (bits, None).  Most elements are used once, and they keep no
+    packing.  The cache is not part of the value (== and hash ignore it).
     """
 
-    __slots__ = ("p", "vmin", "coeffs", "known_to")
+    __slots__ = ("p", "vmin", "coeffs", "known_to", "_packed")
 
     def __init__(self, p, vmin, coeffs, known_to=None):
         # normalize: strip leading/trailing zeros, clip to the window
@@ -189,6 +306,7 @@ class LaurentElement:
         self.vmin = vmin
         self.coeffs = tuple(coeffs)
         self.known_to = known_to
+        self._packed = None
 
     # -- constructors ------------------------------------------------------
 
@@ -229,7 +347,7 @@ class LaurentElement:
         return self.known_to is None
 
     def is_exact_zero(self):
-        return self.exact and not self.coeffs
+        return self.known_to is None and not self.coeffs
 
     def is_zero_within_window(self):
         """No nonzero coefficient anywhere in the certified range."""
@@ -269,32 +387,53 @@ class LaurentElement:
             return self.vmin
         return self._known()
 
+    def _limbs(self, bits, count=None):
+        """The first `count` coefficients (all by default) packed at `bits`."""
+        got = self._packed
+        if got is not None and got[0] == bits and got[1] is not None:
+            n = got[1]
+        else:
+            n = _pack(self.coeffs, bits, self.p)
+            self._packed = (bits, n) if got is not None and got[0] == bits else _USED[bits]
+        if count is not None and count < len(self.coeffs):
+            return n & ((1 << (bits * count)) - 1)
+        return n
+
     def __add__(self, other):
         if not isinstance(other, LaurentElement):
             return NotImplemented
         p = self.p
         known = min(self._known(), other._known())
+        known_to = None if known == INF else known
         if not self.coeffs and not other.coeffs:
-            if known == INF:
+            if known_to is None:
                 return LaurentElement.zero(p)
             return LaurentElement.zero_up_to(p, known)
         parts = [x for x in (self, other) if x.coeffs]
         lo = min(x.vmin for x in parts)
-        hi = max(x.vmin + len(x.coeffs) for x in parts)
-        if known != INF:
-            hi = min(hi, known)
-        out = [0] * max(hi - lo, 0)
+        top = max(x.vmin + len(x.coeffs) for x in parts)
+        hi = min(top, known)
+        if hi <= lo:
+            return LaurentElement.zero_up_to(p, known)
+        count = hi - lo
+        bits = _limb_bits(2 * (p - 1))
+        if bits is None:
+            out = [0] * count
+            for x in parts:
+                for idx, c in enumerate(x.coeffs):
+                    e = x.vmin + idx - lo
+                    if e < count:
+                        out[e] = (out[e] + c) % p
+            return _element(p, lo, out, known_to)
+        total = 0
         for x in parts:
-            for idx, c in enumerate(x.coeffs):
-                e = x.vmin + idx
-                if e < hi:
-                    out[e - lo] = (out[e - lo] + c) % p
-        return LaurentElement(p, lo, out, None if known == INF else known)
+            total += x._limbs(bits) << (bits * (x.vmin - lo))
+        if hi < top:
+            total &= (1 << (bits * count)) - 1
+        return _element(p, lo, _residues(total, count, bits, p), known_to)
 
     def __neg__(self):
-        return LaurentElement(
-            self.p, self.vmin, [(-c) % self.p for c in self.coeffs], self.known_to
-        )
+        return self.scale(-1)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentElement):
@@ -303,29 +442,61 @@ class LaurentElement:
 
     def scale(self, c):
         """Multiply by a residue (integer mod p)."""
-        c %= self.p
+        p = self.p
+        c %= p
         if c == 0:
             if self.exact:
-                return LaurentElement.zero(self.p)
-            return LaurentElement.zero_up_to(self.p, self.known_to)
-        return LaurentElement(
-            self.p, self.vmin, [(c * a) % self.p for a in self.coeffs], self.known_to
-        )
+                return LaurentElement.zero(p)
+            return LaurentElement.zero_up_to(p, self.known_to)
+        if c == 1:
+            return self
+        count = len(self.coeffs)
+        bits = _limb_bits(c * (p - 1))
+        if bits is None:
+            out = [(c * a) % p for a in self.coeffs]
+        else:
+            out = _residues(c * self._limbs(bits), count, bits, p)
+        return _element(p, self.vmin, out, self.known_to)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentElement):
             return NotImplemented
         p = self.p
-        if self.is_exact_zero() or other.is_exact_zero():
-            return LaurentElement.zero(p)
-        known = min(self._start() + other._known(), other._start() + self._known())
-        if not self.coeffs or not other.coeffs:
+        xc = self.coeffs
+        yc = other.coeffs
+        if not (xc and yc):
+            if self.is_exact_zero() or other.is_exact_zero():
+                return LaurentElement.zero(p)
             # zero-up-to-horizon times anything: zero up to the combined horizon
-            return LaurentElement.zero_up_to(p, known)
+            return LaurentElement.zero_up_to(
+                p, min(self._start() + other._known(), other._start() + self._known())
+            )
+        # certified up to min(x's start + y's horizon, y's start + x's horizon)
+        xk = self.known_to
+        yk = other.known_to
+        if xk is None:
+            known_to = None if yk is None else self.vmin + yk
+        elif yk is None:
+            known_to = other.vmin + xk
+        else:
+            known_to = min(self.vmin + yk, other.vmin + xk)
         lo = self.vmin + other.vmin
-        nmax = None if known == INF else known - lo
-        out = _mul(self.coeffs, other.coeffs, p, nmax)
-        return LaurentElement(p, lo, out, None if known == INF else known)
+        la = len(xc)
+        lb = len(yc)
+        n = la + lb - 1
+        if known_to is not None and known_to - lo < n:
+            n = known_to - lo
+            if n <= 0:
+                return LaurentElement.zero_up_to(p, known_to)
+            la = min(la, n)
+            lb = min(lb, n)
+        bits = _limb_bits((la if la < lb else lb) * (p - 1) ** 2)
+        if bits is None:
+            out = _plain_mul(xc[:la], yc[:lb], p, n)
+        else:
+            prod = self._limbs(bits, la) * other._limbs(bits, lb)
+            out = _residues(prod & ((1 << (bits * n)) - 1), n, bits, p)
+        return _element(p, lo, out, known_to)
 
     @staticmethod
     def dot(p, triples):
@@ -336,20 +507,34 @@ class LaurentElement:
         x's horizon), as in ``*``, and the sum up to the least of those.  The
         products are shifted to their offsets inside one packed integer and
         the sum is unpacked once.  Each operand is cut to the coefficients
-        that can reach below the sum's horizon before it is packed.
+        that can reach below the sum's horizon.  A limb of the sum is at most
+        sum(c * min(len x, len y)) * (p-1)**2, and that bound picks the limb
+        width.
         """
         triples = list(triples)
         known = INF
         lo = hi = None
+        load = 0
         live = []
         for c, x, y in triples:
-            if x.known_to is not None or y.known_to is not None:
-                h = min(x._start() + y._known(), y._start() + x._known())
+            xc = x.coeffs
+            yc = y.coeffs
+            xk = x.known_to
+            yk = y.known_to
+            if xk is not None or yk is not None:
+                if not (xc and yc):
+                    h = min(x._start() + y._known(), y._start() + x._known())
+                elif xk is None:
+                    h = x.vmin + yk
+                elif yk is None:
+                    h = y.vmin + xk
+                else:
+                    h = x.vmin + yk
+                    if y.vmin + xk < h:
+                        h = y.vmin + xk
                 if h < known:
                     known = h
             c %= p
-            xc = x.coeffs
-            yc = y.coeffs
             if c and xc and yc:
                 v = x.vmin + y.vmin
                 top = v + len(xc) + len(yc) - 1
@@ -357,36 +542,32 @@ class LaurentElement:
                     lo = v
                 if hi is None or top > hi:
                     hi = top
-                live.append((c, xc, yc, v))
+                load += c * (len(xc) if len(xc) < len(yc) else len(yc))
+                live.append((c, x, y, v))
         known_to = None if known == INF else known
         if not live or min(hi, known) <= lo:
             if known_to is None:
                 return LaurentElement.zero(p)
             return LaurentElement.zero_up_to(p, known_to)
+        bits = _limb_bits(load * (p - 1) ** 2)
+        if bits is None:
+            # large primes or long sums: a limb could carry, so add pairwise
+            acc = LaurentElement.zero(p)
+            for c, x, y in triples:
+                acc = acc + (x * y).scale(c)
+            return acc
         width = min(hi, known) - lo
-        cube = (p - 1) ** 3
-        if cube < _LIMB_CAP:
-            total = 0
-            load = 0
-            for c, xc, yc, v in live:
-                off = v - lo
-                room = width - off
-                if room <= 0:
-                    continue
-                if len(xc) > room:
-                    xc = xc[:room]
-                if len(yc) > room:
-                    yc = yc[:room]
-                load += min(len(xc), len(yc))
-                total += (c * _pack(xc) * _pack(yc)) << (_LIMB_BITS * off)
-            if load * cube < _LIMB_CAP:
-                total &= (1 << (_LIMB_BITS * width)) - 1
-                return LaurentElement(p, lo, _unpack(total, width, p), known_to)
-        # large primes or long sums: a limb could carry, so add pairwise
-        acc = LaurentElement.zero(p)
-        for c, x, y in triples:
-            acc = acc + (x * y).scale(c)
-        return acc
+        total = 0
+        for c, x, y, v in live:
+            off = v - lo
+            room = width - off
+            if room > 0:
+                prod = x._limbs(bits, room) * y._limbs(bits, room)
+                if c != 1:
+                    prod *= c
+                total += prod << (bits * off)
+        total &= (1 << (bits * width)) - 1
+        return _element(p, lo, _residues(total, width, bits, p), known_to)
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:

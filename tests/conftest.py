@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the production code paths they check:
 chain sums are expanded from the full enumerated chain set, multinomials are
-recomputed with big-integer factorials, and conjugacies are verified by
-direct truncated composition.
+recomputed with big-integer factorials, conjugacies are verified by direct
+truncated composition, and Laurent products, sums and inverses are computed
+coefficient by coefficient, never packed.
 """
 
 import math
@@ -108,3 +109,75 @@ def multinomial_by_factorials(top, parts):
 @pytest.fixture
 def quad():
     return quadratic()
+
+
+# -- plain-loop coefficient oracles ------------------------------------------
+# Products, sums and inverses of Laurent windows one coefficient at a time,
+# with the window rules spelled out: a product is certified up to
+# min(x's start + y's horizon, y's start + x's horizon), a sum up to the
+# least horizon of its terms.  Results are built by the public constructor
+# from coefficient lists, so nothing here packs coefficients.
+
+
+def _horizon(x):
+    return INF if x.known_to is None else x.known_to
+
+
+def _start(x):
+    return x.vmin if x.coeffs else _horizon(x)
+
+
+def _window_element(p, terms, known):
+    """The element with coefficients terms (exponent -> residue) below known."""
+    terms = {e: c % p for e, c in terms.items() if e < known and c % p}
+    known_to = None if known == INF else known
+    if not terms:
+        return LaurentElement.zero(p) if known_to is None else LaurentElement.zero_up_to(p, known_to)
+    lo = min(terms)
+    coeffs = [0] * (max(terms) - lo + 1)
+    for e, c in terms.items():
+        coeffs[e - lo] = c
+    return LaurentElement(p, lo, coeffs, known_to)
+
+
+def plain_product(x, y):
+    """x * y by a double loop over the coefficients."""
+    p = x.p
+    if x.is_exact_zero() or y.is_exact_zero():
+        return LaurentElement.zero(p)
+    known = min(_start(x) + _horizon(y), _start(y) + _horizon(x))
+    terms = {}
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            e = x.vmin + y.vmin + i + j
+            terms[e] = terms.get(e, 0) + a * b
+    return _window_element(p, terms, known)
+
+
+def plain_sum(p, terms):
+    """sum of c * x over pairs (c, x), c an integer."""
+    known = min((_horizon(x) for _c, x in terms), default=INF)
+    out = {}
+    for c, x in terms:
+        for i, a in enumerate(x.coeffs):
+            out[x.vmin + i] = out.get(x.vmin + i, 0) + c * a
+    return _window_element(p, out, known)
+
+
+def plain_dot(p, triples):
+    """sum of c * x * y over triples (c, x, y)."""
+    return plain_sum(p, [(c, plain_product(x, y)) for c, x, y in triples])
+
+
+def plain_inverse(x, width):
+    """1/x certified to min(width, x's own width) coefficients, by the
+    recurrence b_k = -b_0 * sum_{i=1..k} a_i * b_{k-i}."""
+    p = x.p
+    if x.known_to is not None:
+        width = min(width, x.known_to - x.vmin)
+    a = list(x.coeffs) + [0] * width
+    b0 = pow(a[0], p - 2, p)
+    b = [b0]
+    for k in range(1, width):
+        b.append(-b0 * sum(a[i] * b[k - i] for i in range(1, k + 1)) % p)
+    return _window_element(p, {-x.vmin + k: c for k, c in enumerate(b)}, -x.vmin + width)

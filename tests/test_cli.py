@@ -126,6 +126,13 @@ class TestBseries:
             "0940531ed077f49f4170b90816319564495c199ae706d9e2e284a9142e640cfa"
         )
 
+    def test_large_prime(self):
+        # primality, factorial tables and the plain-loop kernel all scale
+        # with the digits of p, not with p
+        code, out = run_cli(["bseries", "--p", "100000000000031", "--a", "1:1", "--N", "6"])
+        assert code == 0
+        assert "6,-6,-1" in out.splitlines()
+
     def test_exhaustion_exit_code(self, capsys):
         code, out = run_cli(
             ["bseries", "--p", "5", "--a", "1:1,4:2*t^-2",
@@ -166,6 +173,10 @@ class TestConfigHandling:
 
     def test_bad_prime(self):
         code, _ = run_cli(["analyze", "--p", "6", "--a", "1:1"])
+        assert code == 2
+
+    def test_prime_beyond_the_primality_range(self):
+        code, _ = run_cli(["analyze", "--p", str(2**89 - 1), "--a", "1:1"])
         assert code == 2
 
     def test_config_file_merge(self, tmp_path):

@@ -83,6 +83,19 @@ class TestBinomialSplit:
                 for k in range(0, n + 1):
                     assert binomial_residue(n, k, p) == math.comb(n, k) % p
 
+    @pytest.mark.parametrize("p", [100000000000031, 2**61 - 1])
+    def test_large_primes_need_no_table_of_size_p(self, p):
+        from charp.combinat import _FACT_TABLES
+
+        for n in range(0, 90, 7):
+            for k in range(n + 1):
+                assert binomial_residue(n, k, p) == math.comb(n, k) % p
+        parts = [40, 30, 29]
+        assert multinomial_residue(99, parts, p) == multinomial_by_factorials(99, parts) % p
+        assert multinomial_residue(p + 3, [p, 3], p) == math.comb(p + 3, 3) % p
+        # the tables hold the digits seen (up to 99), not p entries
+        assert all(len(t) <= 100 for t in _FACT_TABLES[p])
+
     def test_binomial_rejects_k_outside_range(self):
         for n, k in [(3, 4), (3, -1)]:
             with pytest.raises(PartsMismatch):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,15 @@ from charp.field import (
     LaurentElement,
     Multiplier,
     PrimeContext,
+    _is_prime,
+    _mul,
     _shared_multiplier,
     make_lambda,
     parse_laurent,
     val_p,
 )
+
+from conftest import plain_dot, plain_inverse, plain_product, plain_sum
 
 INF = math.inf
 
@@ -38,6 +43,43 @@ class TestPrimeContext:
     def test_window_ordering(self):
         with pytest.raises(ValueError):
             PrimeContext(5, default_window=100, max_window=10)
+
+
+def prime_by_trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+class TestPrimality:
+    def test_matches_trial_division_below_1e5(self):
+        assert [n for n in range(10**5) if _is_prime(n)] == [
+            n for n in range(10**5) if prime_by_trial_division(n)
+        ]
+
+    @pytest.mark.parametrize("n", [561, 41041, 3215031751])
+    def test_pseudoprimes_are_rejected(self, n):
+        # Carmichael numbers, and the least strong pseudoprime to the bases
+        # 2, 3, 5 and 7 at once
+        assert not _is_prime(n)
+        with pytest.raises(ValueError):
+            PrimeContext(n)
+
+    def test_large_primes_are_fast(self):
+        for p in (100000000000031, 2**61 - 1, 4294967311):
+            start = time.perf_counter()
+            assert PrimeContext(p).p == p
+            assert time.perf_counter() - start < 0.1
+        assert not _is_prime(2**61 + 1)
+
+    def test_beyond_the_proven_range_is_refused(self):
+        with pytest.raises(ValueError):
+            PrimeContext(2**89 - 1)  # a Mersenne prime above 3.3e24
 
 
 class TestParse:
@@ -276,7 +318,7 @@ class TestEscalation:
             f.table().escalate()
 
 
-# products summed by LaurentElement.dot, checked against the pairwise sum
+# products summed by LaurentElement.dot, checked against the plain-loop oracle
 
 @st.composite
 def dot_operands(draw, p):
@@ -296,13 +338,6 @@ def dot_operands(draw, p):
     return LaurentElement(p, vmin, coeffs, known_to)
 
 
-def pairwise_dot(p, triples):
-    acc = LaurentElement.zero(p)
-    for c, x, y in triples:
-        acc = acc + (x * y).scale(c)
-    return acc
-
-
 def assert_same_element(got, want):
     assert (got.vmin, got.coeffs, got.known_to) == (want.vmin, want.coeffs, want.known_to)
 
@@ -319,7 +354,7 @@ class TestDot:
             )
             for _ in range(count)
         ]
-        assert_same_element(LaurentElement.dot(p, triples), pairwise_dot(p, triples))
+        assert_same_element(LaurentElement.dot(p, triples), plain_dot(p, triples))
 
     def test_products_past_the_horizon_are_cut(self):
         p = 5
@@ -328,7 +363,7 @@ class TestDot:
         triples = [(1, near, el(p, "1 + t")), (3, far, far), (2, el(p, "t^-1"), el(p, "t^2 + t^4"))]
         got = LaurentElement.dot(p, triples)
         assert got.known_to == 3
-        assert_same_element(got, pairwise_dot(p, triples))
+        assert_same_element(got, plain_dot(p, triples))
 
     @pytest.mark.parametrize(
         "p, count, width",
@@ -345,7 +380,125 @@ class TestDot:
         x = LaurentElement(p, 0, [top] * width)
         y = LaurentElement(p, 1, [top] * width, 1 + width)
         triples = [(top, x, y)] * count
-        assert_same_element(LaurentElement.dot(p, triples), pairwise_dot(p, triples))
+        assert_same_element(LaurentElement.dot(p, triples), plain_dot(p, triples))
+
+
+# Kronecker limb widths at the edge of each width's bound
+
+LIMB_PRIMES = (3, 5, 7, 13, 251, 257, 65537, 4294967311)
+
+
+def edge_loads(p, bits, cap):
+    """The last load L with L * (p-1)**2 < 2**bits and the first with
+    L * (p-1)**2 >= 2**bits, those that are >= 1 and at most cap."""
+    first = -(-(1 << bits) // (p - 1) ** 2)
+    return [load for load in (first - 1, first) if 1 <= load <= cap]
+
+
+def edge_cases(cap):
+    """(p, bits, load) for each distinct (p, load) edge, under its widest bits."""
+    cases = {}
+    for p in LIMB_PRIMES:
+        for bits in (8, 16, 32):
+            for load in edge_loads(p, bits, cap):
+                cases[p, load] = bits
+    return [(p, bits, load) for (p, load), bits in cases.items()]
+
+
+def full(p, vmin, length):
+    """length coefficients, each p - 1, from t^vmin on."""
+    return LaurentElement(p, vmin, [p - 1] * length)
+
+
+def peak_triples(p, load, longest=64):
+    """Triples (c, x, y) with every coefficient p - 1 and
+    sum(c * min(len x, len y)) == load, placed so that every product peaks
+    at t^(longest - 1): that limb of the packed sum reaches load * (p-1)**2."""
+    top = p - 1
+    span = min(load, longest)
+    triples = []
+    for c, m in [(top, span)] * (load // (top * span)) + [
+        (top, load % (top * span) // top),
+        (load % top, 1),
+    ]:
+        if c and m:
+            triples.append((c, full(p, span - m, m), full(p, 0, m)))
+    assert sum(c * len(x.coeffs) for c, x, _y in triples) == load
+    return triples
+
+
+class TestLimbWidths:
+    @pytest.mark.parametrize("p, bits, load", edge_cases(70000))
+    def test_dot_at_the_edge(self, p, bits, load):
+        triples = peak_triples(p, load)
+        assert_same_element(LaurentElement.dot(p, triples), plain_dot(p, triples))
+
+    @pytest.mark.parametrize("p, bits, load", edge_cases(1024))
+    def test_ring_operations_at_the_edge(self, p, bits, load):
+        x = full(p, 0, load)
+        y = full(p, -1, load).truncate(load)
+        assert_same_element(x * x, plain_product(x, x))
+        assert_same_element(x * y, plain_product(x, y))
+        assert_same_element(x + y, plain_sum(p, [(1, x), (1, y)]))
+        assert_same_element(x - y, plain_sum(p, [(1, x), (-1, y)]))
+        assert_same_element(y - x, plain_sum(p, [(1, y), (-1, x)]))
+        assert_same_element(-x, plain_sum(p, [(-1, x)]))
+        for c in (2, p - 1, p + 3):
+            assert_same_element(x.scale(c), plain_sum(p, [(c, x)]))
+        # the packed product of plain coefficient vectors (lambda powers
+        # and Newton steps): x*x peaks at load * (p-1)**2 in limb load - 1
+        square = plain_product(x, x)
+        assert list(_mul(x.coeffs, x.coeffs, p)) == [square.coefficient(e) for e in range(2 * load - 1)]
+
+    @pytest.mark.parametrize("p, bits, load", edge_cases(512))
+    def test_inverse_at_the_edge(self, p, bits, load):
+        x = LaurentElement(p, 0, [1] + [p - 1] * load)
+        for width in (load, 2 * load + 1):
+            assert_same_element(x.inverse(width), plain_inverse(x, width))
+            assert_same_element(full(p, 3, load).inverse(width), plain_inverse(full(p, 3, load), width))
+
+    def test_every_width_is_reached(self):
+        # the edge cases cover each width on both sides and the fallback
+        seen = {(bits, load * (p - 1) ** 2 < 1 << bits) for p, bits, load in edge_cases(70000)}
+        assert seen == {(b, side) for b in (8, 16, 32) for side in (True, False)}
+
+
+# the packed-coefficient cache on each element
+
+class TestPackedCache:
+    def test_whole_then_cut_then_second_width(self):
+        p = 5
+        x = full(p, 0, 40)
+        short = LaurentElement(p, 0, [1, 2, 3])
+        cut = LaurentElement(p, 2, [1, 2, 3], 12)  # x is cut to 10 coefficients
+        long = full(p, 1, 40)
+        steps = [
+            (lambda z: z * short, 8),  # load 3 * 16 < 256
+            (lambda z: z * cut, 8),
+            (lambda z: z * long, 16),  # load 40 * 16
+            (lambda z: LaurentElement.dot(p, [(4, z, short), (3, cut, z)]), 16),  # load 21
+            (lambda z: z + short, 8),
+            (lambda z: z - long, 8),
+            (lambda z: z.scale(3), 8),
+            (lambda z: z * long, 16),
+            (lambda z: z * cut, 8),
+        ]
+        for op, bits in steps:
+            assert_same_element(op(x), op(full(p, 0, 40)))  # a fresh element packs anew
+            assert x._packed[0] == bits
+        assert_same_element(x * cut, plain_product(x, cut))
+        assert_same_element(x * long, plain_product(x, long))
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        a = LaurentElement(7, -2, [1, 2, 3], 5)
+        b = LaurentElement(7, -2, [1, 2, 3], 5)
+        for bits in (None, 8, 16, 32):
+            if bits:
+                a._limbs(bits)
+                assert a._packed[0] == bits and b._packed is None
+            assert a == b and hash(a) == hash(b)
+            assert b in {a} and a in {b}
+        assert a != LaurentElement(7, -2, [1, 2, 3])
 
 
 # lambda powers from base-p digits, checked against exact powers
