@@ -6,8 +6,8 @@
 Each argument LABEL=ROOT names a checkout; its ``src`` directory is put on
 PYTHONPATH.  The checkouts are measured in alternation, one run of each per
 round with the order reversed every round, so that a machine that drifts
-over minutes moves every side alike.  Every row is the median of --runs
-rounds (default 5).
+over minutes moves every side alike.  Every row is the median of RUNS
+(5) rounds.
 
 * Corpus rows run one charp command line end to end in a fresh interpreter
   (process start included) and record its wall time, its peak RSS and a
@@ -48,6 +48,7 @@ CORPUS = [
     ("lemma suite seed=0 budget=400", ["lemmas", "--seed", "0", "--budget", "400"]),
 ]
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
+RUNS = 5  # rounds behind every row
 KERNEL_PASSES = 10  # passes over each kernel case in one sample
 
 
@@ -71,19 +72,19 @@ def run_child(args, root: Path):
     return seconds, usage.ru_maxrss / 1024, out, os.waitstatus_to_exitcode(status)
 
 
-def rounds(sides: dict, runs: int):
+def rounds(sides: dict):
     """(label, root) in alternating order: A B, B A, A B, ..."""
     labels = list(sides)
-    for i in range(runs):
+    for i in range(RUNS):
         for label in labels if i % 2 == 0 else labels[::-1]:
             yield label, sides[label]
 
 
-def corpus_rows(sides: dict, runs: int) -> dict:
+def corpus_rows(sides: dict) -> dict:
     rows = {label: [] for label in sides}
     for name, argv in CORPUS:
         got = {label: ([], [], set()) for label in sides}
-        for label, root in rounds(sides, runs):
+        for label, root in rounds(sides):
             seconds, mb, out, code = run_child(["-m", "charp", *argv], root)
             if code != 0:
                 raise SystemExit(f"{label}: {name}: exit code {code}")
@@ -102,13 +103,13 @@ def corpus_rows(sides: dict, runs: int) -> dict:
                     "wall_s": statistics.median(times),
                     "peak_rss_mb": statistics.median(rss),
                     "stdout_sha256": digests.pop(),
-                    "runs": runs,
+                    "runs": RUNS,
                 }
             )
             print(f"# {label}: {name}: {statistics.median(times):.3f} s, {statistics.median(rss):.1f} MB", file=sys.stderr)
     times = {label: [] for label in sides}
     summary = {}
-    for label, root in rounds(sides, runs):
+    for label, root in rounds(sides):
         seconds, _mb, out, code = run_child(TIER1, root)
         if code != 0:
             raise SystemExit(f"{label}: tier-1 tests failed (exit code {code})")
@@ -116,7 +117,7 @@ def corpus_rows(sides: dict, runs: int) -> dict:
         summary[label] = out.decode().strip().splitlines()[-1]
     for label in sides:
         wall = statistics.median(times[label])
-        rows[label].append({"row": "tier-1 tests", "kind": "corpus", "wall_s": wall, "result": summary[label], "runs": runs})
+        rows[label].append({"row": "tier-1 tests", "kind": "corpus", "wall_s": wall, "result": summary[label], "runs": RUNS})
         print(f"# {label}: tier-1: {wall:.1f} s ({summary[label]})", file=sys.stderr)
     return rows
 
@@ -186,10 +187,10 @@ def kernel_sample() -> list:
     return out
 
 
-def kernel_rows(sides: dict, runs: int) -> dict:
+def kernel_rows(sides: dict) -> dict:
     samples = {label: {} for label in sides}
     meta = {}
-    for label, root in rounds(sides, runs):
+    for label, root in rounds(sides):
         _s, _mb, out, code = run_child([str(Path(__file__).resolve()), "--kernel-sample"], root)
         if code != 0:
             raise SystemExit(f"{label}: kernel sample failed (exit code {code})")
@@ -202,7 +203,7 @@ def kernel_rows(sides: dict, runs: int) -> dict:
         for name, values in by_name.items():
             calls, what = meta[name]
             us = statistics.median(values) * 1e6
-            rows[label].append({"row": name, "kind": "kernel", "what": what, "calls": calls, "us_per_call": us, "runs": runs})
+            rows[label].append({"row": name, "kind": "kernel", "what": what, "calls": calls, "us_per_call": us, "runs": RUNS})
             print(f"# {label}: {name}: {us:.1f} us/call", file=sys.stderr)
     return rows
 
@@ -217,7 +218,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("sides", nargs="*", metavar="LABEL=ROOT", help="checkouts to measure (default: change=this one)")
     ap.add_argument("--out", type=Path, default=HERE.parent / "BENCH_7.json")
-    ap.add_argument("--runs", type=int, default=5)
     ap.add_argument("--kernel-sample", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.kernel_sample:
@@ -229,12 +229,12 @@ def main(argv=None) -> int:
         if not sep or not label:
             ap.error(f"expected LABEL=ROOT, got {spec!r}")
         sides[label] = Path(root).resolve()
-    kernel = kernel_rows(sides, args.runs)
-    corpus = corpus_rows(sides, args.runs)
+    kernel = kernel_rows(sides)
+    corpus = corpus_rows(sides)
     data = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "runs": args.runs,
+        "runs": RUNS,
         "order": "alternating rounds",
         "sides": {
             label: {"root_commit": describe(root), "rows": kernel[label] + corpus[label]}

@@ -98,6 +98,8 @@ def _is_prime(n: int) -> bool:
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
+    if n < 43 * 43:
+        return True  # no prime factor up to 41, so none up to its square root
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -124,7 +126,7 @@ def _is_prime(n: int) -> bool:
 
 _TYPECODES = {8: "B", 16: "H", 32: "I"}
 _USED = {bits: (bits, None) for bits in _TYPECODES}  # packed once, not kept
-_BYTE_TABLES = {}  # p -> per byte position j, the table b -> (b << 8j) % p
+_BYTE_TABLES = {}  # (p, j) -> the table b -> (b << 8j) % p for byte position j
 
 
 def _limb_bits(top):
@@ -139,16 +141,27 @@ def _limb_bits(top):
 
 
 def _pack(vec, bits, p) -> int:
-    """vec as one integer with `bits`-bit limbs."""
+    """vec as one integer with `bits`-bit limbs.
+
+    Residues of p <= 256 are packed through bytes(), which takes the bytes
+    that _residues returns (array() would read those as machine words) and
+    packs a list twice as fast as array() does."""
+    if p > 256:
+        return int.from_bytes(array(_TYPECODES[bits], vec).tobytes(), "little")
+    raw = bytes(vec)
     size = bits >> 3
-    if p <= 256:
-        raw = bytes(vec)
-        if size > 1:
-            wide = bytearray(len(raw) * size)
-            wide[::size] = raw
-            raw = wide
-        return int.from_bytes(raw, "little")
-    return int.from_bytes(array(_TYPECODES[bits], vec).tobytes(), "little")
+    if size > 1:
+        wide = bytearray(len(raw) * size)
+        wide[::size] = raw
+        raw = wide
+    return int.from_bytes(raw, "little")
+
+
+def _byte_table(p, j):
+    got = _BYTE_TABLES.get((p, j))
+    if got is None:
+        got = _BYTE_TABLES[p, j] = bytes((b << (8 * j)) % p for b in range(0x100))
+    return got
 
 
 def _residues(n, count, bits, p):
@@ -160,34 +173,31 @@ def _residues(n, count, bits, p):
     size = bits >> 3
     raw = n.to_bytes(count * size, "little")
     if size * (p - 1) < 0x100:
-        tables = _BYTE_TABLES.get(p)
-        if tables is None:
-            tables = _BYTE_TABLES[p] = tuple(
-                bytes((b << (8 * j)) % p for b in range(0x100)) for j in range(4)
-            )
         if size == 1:
-            return raw.translate(tables[0])
+            return raw.translate(_byte_table(p, 0))
         acc = 0
         for j in range(size):
-            acc += int.from_bytes(raw[j::size].translate(tables[j]), "little")
-        return acc.to_bytes(count, "little").translate(tables[0])
+            acc += int.from_bytes(raw[j::size].translate(_byte_table(p, j)), "little")
+        return acc.to_bytes(count, "little").translate(_byte_table(p, 0))
     return [x % p for x in array(_TYPECODES[bits], raw)]
 
 
-def _negated(vec, p):
-    """The residues of -vec, as (p-1) * vec."""
-    bits = _limb_bits((p - 1) ** 2)
-    if bits is None:
-        return [(-c) % p for c in vec]
-    return _residues((p - 1) * _pack(vec, bits, p), len(vec), bits, p)
+def _packed_product(a, b, n, bits, p, c=1):
+    """First n residues of c*a*b, for a and b packed at `bits` and a limb
+    bound of c*a*b that `bits` holds."""
+    prod = a * b
+    if c != 1:
+        prod *= c
+    return _residues(prod & ((1 << (bits * n)) - 1), n, bits, p)
 
 
-def _plain_mul(a, b, p, n) -> list:
-    """First n coefficients of a*b by a plain convolution (any p)."""
+def _plain_mul(a, b, p, n, c=1) -> list:
+    """First n coefficients of c*a*b by a plain convolution (any p)."""
     out = [0] * n
     for i, ai in enumerate(a):
         if ai == 0 or i >= n:
             continue
+        ai = ai * c % p
         for j, bj in enumerate(b):
             k = i + j
             if k >= n:
@@ -196,9 +206,9 @@ def _plain_mul(a, b, p, n) -> list:
     return out
 
 
-def _mul(a, b, p, nmax=None):
+def _mul(a, b, p, nmax=None, c=1):
     """Truncated product of coefficient vectors: first nmax coefficients of
-    a*b, as a sequence of residues."""
+    c*a*b, as a sequence of residues."""
     if not a or not b:
         return []
     n = len(a) + len(b) - 1
@@ -208,11 +218,10 @@ def _mul(a, b, p, nmax=None):
         return []
     a = a[:n]
     b = b[:n]
-    bits = _limb_bits(min(len(a), len(b)) * (p - 1) ** 2)
+    bits = _limb_bits(c * min(len(a), len(b)) * (p - 1) ** 2)
     if bits is None:
-        return _plain_mul(a, b, p, n)
-    prod = (_pack(a, bits, p) * _pack(b, bits, p)) & ((1 << (bits * n)) - 1)
-    return _residues(prod, n, bits, p)
+        return _plain_mul(a, b, p, n, c)
+    return _packed_product(_pack(a, bits, p), _pack(b, bits, p), n, bits, p, c)
 
 
 def _inv(a, p, n) -> list:
@@ -231,42 +240,12 @@ def _inv(a, p, n) -> list:
         size = len(x)
         m = min(2 * size, n)
         e = _mul(a, x, p, m)[size:]
-        x += _mul(x, _negated(e, p), p, m - size)
+        x += _mul(x, e, p, m - size, p - 1)
         x += [0] * (m - len(x))
     return x
 
 
 _ZEROS = {}  # p -> the shared exact zero of F_p((t))
-
-
-def _element(p, lo, digits, known_to):
-    """The element with residues `digits` at exponents lo, lo + 1, ...,
-    none of them at or past known_to; zeros at either end are stripped."""
-    if type(digits) is bytes:
-        end = digits.rstrip(b"\0")
-        body = end.lstrip(b"\0")
-        lo += len(end) - len(body)
-        coeffs = tuple(body)
-    else:
-        i = 0
-        j = len(digits)
-        while j and digits[j - 1] == 0:
-            j -= 1
-        while i < j and digits[i] == 0:
-            i += 1
-        lo += i
-        coeffs = tuple(digits[i:j])
-    if not coeffs:
-        if known_to is None:
-            return LaurentElement.zero(p)
-        lo = 0
-    x = object.__new__(LaurentElement)
-    x.p = p
-    x.vmin = lo
-    x.coeffs = coeffs
-    x.known_to = known_to
-    x._packed = None
-    return x
 
 
 class LaurentElement:
@@ -387,6 +366,17 @@ class LaurentElement:
             return self.vmin
         return self._known()
 
+    def _product_horizon(self, other):
+        """Where self*other stops being certified: min(self's start +
+        other's horizon, other's start + self's horizon), INF if nowhere."""
+        xk = self.known_to
+        yk = other.known_to
+        if xk is None:
+            return INF if yk is None else self._start() + yk
+        if yk is None:
+            return other._start() + xk
+        return min(self._start() + yk, other._start() + xk)
+
     def _limbs(self, bits, count=None):
         """The first `count` coefficients (all by default) packed at `bits`."""
         got = self._packed
@@ -424,13 +414,13 @@ class LaurentElement:
                     e = x.vmin + idx - lo
                     if e < count:
                         out[e] = (out[e] + c) % p
-            return _element(p, lo, out, known_to)
+            return LaurentElement(p, lo, out, known_to)
         total = 0
         for x in parts:
             total += x._limbs(bits) << (bits * (x.vmin - lo))
         if hi < top:
             total &= (1 << (bits * count)) - 1
-        return _element(p, lo, _residues(total, count, bits, p), known_to)
+        return LaurentElement(p, lo, _residues(total, count, bits, p), known_to)
 
     def __neg__(self):
         return self.scale(-1)
@@ -456,7 +446,7 @@ class LaurentElement:
             out = [(c * a) % p for a in self.coeffs]
         else:
             out = _residues(c * self._limbs(bits), count, bits, p)
-        return _element(p, self.vmin, out, self.known_to)
+        return LaurentElement(p, self.vmin, out, self.known_to)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentElement):
@@ -468,18 +458,9 @@ class LaurentElement:
             if self.is_exact_zero() or other.is_exact_zero():
                 return LaurentElement.zero(p)
             # zero-up-to-horizon times anything: zero up to the combined horizon
-            return LaurentElement.zero_up_to(
-                p, min(self._start() + other._known(), other._start() + self._known())
-            )
-        # certified up to min(x's start + y's horizon, y's start + x's horizon)
-        xk = self.known_to
-        yk = other.known_to
-        if xk is None:
-            known_to = None if yk is None else self.vmin + yk
-        elif yk is None:
-            known_to = other.vmin + xk
-        else:
-            known_to = min(self.vmin + yk, other.vmin + xk)
+            return LaurentElement.zero_up_to(p, self._product_horizon(other))
+        known = self._product_horizon(other)
+        known_to = None if known == INF else known
         lo = self.vmin + other.vmin
         la = len(xc)
         lb = len(yc)
@@ -494,9 +475,8 @@ class LaurentElement:
         if bits is None:
             out = _plain_mul(xc[:la], yc[:lb], p, n)
         else:
-            prod = self._limbs(bits, la) * other._limbs(bits, lb)
-            out = _residues(prod & ((1 << (bits * n)) - 1), n, bits, p)
-        return _element(p, lo, out, known_to)
+            out = _packed_product(self._limbs(bits, la), other._limbs(bits, lb), n, bits, p)
+        return LaurentElement(p, lo, out, known_to)
 
     @staticmethod
     def dot(p, triples):
@@ -519,21 +499,9 @@ class LaurentElement:
         for c, x, y in triples:
             xc = x.coeffs
             yc = y.coeffs
-            xk = x.known_to
-            yk = y.known_to
-            if xk is not None or yk is not None:
-                if not (xc and yc):
-                    h = min(x._start() + y._known(), y._start() + x._known())
-                elif xk is None:
-                    h = x.vmin + yk
-                elif yk is None:
-                    h = y.vmin + xk
-                else:
-                    h = x.vmin + yk
-                    if y.vmin + xk < h:
-                        h = y.vmin + xk
-                if h < known:
-                    known = h
+            h = x._product_horizon(y)
+            if h < known:
+                known = h
             c %= p
             if c and xc and yc:
                 v = x.vmin + y.vmin
@@ -567,7 +535,7 @@ class LaurentElement:
                     prod *= c
                 total += prod << (bits * off)
         total &= (1 << (bits * width)) - 1
-        return _element(p, lo, _residues(total, width, bits, p), known_to)
+        return LaurentElement(p, lo, _residues(total, width, bits, p), known_to)
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:

@@ -450,6 +450,24 @@ class TestLimbWidths:
         square = plain_product(x, x)
         assert list(_mul(x.coeffs, x.coeffs, p)) == [square.coefficient(e) for e in range(2 * load - 1)]
 
+    @pytest.mark.parametrize("p", LIMB_PRIMES)
+    def test_scaled_product_at_the_edge(self, p):
+        # a Newton step of the inverse negates inside the product: c*a*b with
+        # c = p - 1 peaks at c * load * (p-1)**2 in limb load - 1
+        c = p - 1
+        for bits in (8, 16, 32):
+            first = -(-(1 << bits) // (c * (p - 1) ** 2))
+            for load in (first - 1, first):
+                if not 1 <= load <= 1024:
+                    continue
+                a = [p - 1] * load
+                want = plain_sum(p, [(c, plain_product(full(p, 0, load), full(p, 0, load)))])
+                want = [want.coefficient(e) for e in range(2 * load - 1)]
+                assert list(_mul(a, a, p, None, c)) == want
+                if p <= 256:
+                    # residues come back from the kernel as bytes
+                    assert list(_mul(bytes(a), bytes(a), p, None, c)) == want
+
     @pytest.mark.parametrize("p, bits, load", edge_cases(512))
     def test_inverse_at_the_edge(self, p, bits, load):
         x = LaurentElement(p, 0, [1] + [p - 1] * load)
