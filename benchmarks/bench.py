@@ -10,14 +10,18 @@ over minutes moves every side alike.  Every row is the median of RUNS
 (5) rounds.
 
 * Corpus rows run one charp command line end to end in a fresh interpreter
-  (process start included) and record its wall time, its peak RSS and a
-  sha256 of its stdout, so that the sides can be checked to print the same
-  bytes.  The tier-1 row is the wall time of the checkout's own test suite.
+  and record its wall time (process start included), its in-process time
+  (the call to ``charp.cli.main`` alone, timed inside the child), its peak
+  RSS and a sha256 of its stdout, so that the sides can be checked to print
+  the same bytes.  The tier-1 row is the wall time of the checkout's own
+  test suite.
 * Kernel rows time the coefficient kernel of ``charp.field`` in a child
-  interpreter per side and round: ``_mul``, ``_inv``, ``LaurentElement.dot``
-  and ``+`` on fixed seeded operands at p = 5, with the number of calls
-  behind each time.  ``dot`` is timed on fresh operands and on operands
-  already used once, as DP nodes and numerators are used again.
+  interpreter per side and round: ``_mul``, ``_inv``, ``LaurentElement.dot``,
+  ``+``, ``-`` and ``scale`` on fixed seeded operands at p = 5, and ``*``,
+  ``dot`` and ``inverse`` at p = 4294967311, whose products need 16-byte
+  limbs, with the number of calls behind each time.  ``dot`` at p = 5 is
+  timed on fresh operands and on operands already used once, as DP nodes
+  and numerators are used again.
 
 Timings are taken as the machine is; nothing on it is tuned.
 """
@@ -33,6 +37,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -50,6 +55,17 @@ CORPUS = [
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
 RUNS = 5  # rounds behind every row
 KERNEL_PASSES = 10  # passes over each kernel case in one sample
+LARGE_P = 4294967311  # the least prime past 2**32
+# a corpus child: charp.cli.main on argv, its own duration on the last line of stderr
+TIMED_CLI = (
+    "import sys, time\n"
+    "from charp.cli import main\n"
+    "start = time.perf_counter()\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "print(time.perf_counter() - start, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
 
 
 def child_env(root: Path) -> dict:
@@ -60,16 +76,16 @@ def child_env(root: Path) -> dict:
 
 def run_child(args, root: Path):
     """Run the interpreter with args in root; returns (seconds, peak RSS in
-    MB, stdout, exit code)."""
-    start = time.perf_counter()
-    proc = subprocess.Popen(
-        [sys.executable, *args], cwd=root, env=child_env(root), stdout=subprocess.PIPE, stderr=subprocess.DEVNULL
-    )
-    out = proc.stdout.read()
-    proc.stdout.close()
-    _pid, status, usage = os.wait4(proc.pid, 0)  # this child's own peak RSS
-    seconds = time.perf_counter() - start
-    return seconds, usage.ru_maxrss / 1024, out, os.waitstatus_to_exitcode(status)
+    MB, stdout, stderr, exit code)."""
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *args], cwd=root, env=child_env(root), stdout=subprocess.PIPE, stderr=err)
+        out = proc.stdout.read()
+        proc.stdout.close()
+        _pid, status, usage = os.wait4(proc.pid, 0)  # this child's own peak RSS
+        seconds = time.perf_counter() - start
+        err.seek(0)
+        return seconds, usage.ru_maxrss / 1024, out, err.read(), os.waitstatus_to_exitcode(status)
 
 
 def rounds(sides: dict):
@@ -83,16 +99,17 @@ def rounds(sides: dict):
 def corpus_rows(sides: dict) -> dict:
     rows = {label: [] for label in sides}
     for name, argv in CORPUS:
-        got = {label: ([], [], set()) for label in sides}
+        got = {label: ([], [], [], set()) for label in sides}
         for label, root in rounds(sides):
-            seconds, mb, out, code = run_child(["-m", "charp", *argv], root)
+            seconds, mb, out, err, code = run_child(["-c", TIMED_CLI, *argv], root)
             if code != 0:
                 raise SystemExit(f"{label}: {name}: exit code {code}")
-            times, rss, digests = got[label]
+            times, inside, rss, digests = got[label]
             times.append(seconds)
+            inside.append(float(err.splitlines()[-1]))
             rss.append(mb)
             digests.add(hashlib.sha256(out).hexdigest())
-        for label, (times, rss, digests) in got.items():
+        for label, (times, inside, rss, digests) in got.items():
             if len(digests) != 1:
                 raise SystemExit(f"{label}: {name}: stdout differs between runs")
             rows[label].append(
@@ -101,16 +118,21 @@ def corpus_rows(sides: dict) -> dict:
                     "kind": "corpus",
                     "command": "charp " + " ".join(argv),
                     "wall_s": statistics.median(times),
+                    "in_process_s": statistics.median(inside),
                     "peak_rss_mb": statistics.median(rss),
                     "stdout_sha256": digests.pop(),
                     "runs": RUNS,
                 }
             )
-            print(f"# {label}: {name}: {statistics.median(times):.3f} s, {statistics.median(rss):.1f} MB", file=sys.stderr)
+            print(
+                f"# {label}: {name}: {statistics.median(times):.3f} s wall, {statistics.median(inside):.3f} s "
+                f"in-process, {statistics.median(rss):.1f} MB",
+                file=sys.stderr,
+            )
     times = {label: [] for label in sides}
     summary = {}
     for label, root in rounds(sides):
-        seconds, _mb, out, code = run_child(TIER1, root)
+        seconds, _mb, out, _err, code = run_child(TIER1, root)
         if code != 0:
             raise SystemExit(f"{label}: tier-1 tests failed (exit code {code})")
         times[label].append(seconds)
@@ -127,19 +149,24 @@ def kernel_sample() -> list:
     call); charp is imported from PYTHONPATH."""
     from charp.field import LaurentElement, _inv, _mul
 
+    def operands(p, rng):
+        def vec(n):
+            return [rng.randrange(p) for _ in range(n)]
+
+        def units(n):
+            return [rng.randrange(1, p)] + vec(n - 1)
+
+        def node(width):
+            # a truncated element like a DP node or a numerator of the window
+            v = rng.randrange(0, 8)
+            return LaurentElement(p, v, units(width), v + width)
+
+        return vec, units, node
+
     p = 5
     rng = random.Random(7)
-
-    def vec(n):
-        return [rng.randrange(p) for _ in range(n)]
-
-    def units(n):
-        return [rng.randrange(1, p)] + vec(n - 1)
-
-    def node(width):
-        # a truncated element like a DP node or a numerator of the window
-        v = rng.randrange(0, 8)
-        return LaurentElement(p, v, units(width), v + width)
+    vec, units, node = operands(p, rng)
+    large_node = operands(LARGE_P, random.Random(11))[2]
 
     muls = [(vec(64), vec(64)) for _ in range(50)] + [(vec(256), vec(256)) for _ in range(10)]
     invs = [(units(64), 64) for _ in range(20)] + [(units(256), 256) for _ in range(5)]
@@ -150,6 +177,11 @@ def kernel_sample() -> list:
         return [[(c, node(w), node(w)) for c, w in spec] for spec in dot_specs]
 
     reused = fresh_dots()
+    large_muls = [(large_node(64), large_node(64)) for _ in range(20)]
+    large_invs = [large_node(64) for _ in range(10)]
+
+    def large_dots():
+        return [[(c, large_node(64), large_node(64)) for c in range(1, 9)] for _ in range(10)]
 
     def time_mul():
         for a, b in muls:
@@ -167,12 +199,37 @@ def kernel_sample() -> list:
         for x, y in sums:
             x + y
 
+    def time_sub():
+        for x, y in sums:
+            x - y
+
+    def time_scale():
+        for x, _y in sums:
+            x.scale(3)
+
+    def time_large_mul():
+        for x, y in large_muls:
+            x * y
+
+    def time_large_dot(dots):
+        for triples in dots:
+            LaurentElement.dot(LARGE_P, triples)
+
+    def time_large_inv():
+        for x in large_invs:
+            x.inverse(64)
+
     cases = [
         ("_mul", time_mul, None, len(muls), "truncated products, 50 of length 64 and 10 of length 256"),
         ("_inv", time_inv, None, len(invs), "Newton inverses, 20 to 64 and 5 to 256 coefficients"),
         ("dot fresh operands", time_dot, fresh_dots, len(dot_specs), "8 products of length-64 windows per call, on operands built anew (not timed)"),
         ("dot reused operands", time_dot, lambda: reused, len(dot_specs), "the same calls on operands already used once"),
         ("+", time_add, None, len(sums), "sums of two length-64 windows"),
+        ("-", time_sub, None, len(sums), "differences of two length-64 windows"),
+        ("scale", time_scale, None, len(sums), "length-64 windows times 3"),
+        (f"* p={LARGE_P}", time_large_mul, None, len(large_muls), "products of two length-64 windows"),
+        (f"dot p={LARGE_P}", time_large_dot, large_dots, 10, "8 products of length-64 windows per call, on operands built anew (not timed)"),
+        (f"inverse p={LARGE_P}", time_large_inv, None, len(large_invs), "inverses of length-64 windows to 64 coefficients"),
     ]
     time_dot(reused)  # the operands have been used once
     out = []
@@ -191,7 +248,7 @@ def kernel_rows(sides: dict) -> dict:
     samples = {label: {} for label in sides}
     meta = {}
     for label, root in rounds(sides):
-        _s, _mb, out, code = run_child([str(Path(__file__).resolve()), "--kernel-sample"], root)
+        _s, _mb, out, _err, code = run_child([str(Path(__file__).resolve()), "--kernel-sample"], root)
         if code != 0:
             raise SystemExit(f"{label}: kernel sample failed (exit code {code})")
         for name, calls, what, per_call in json.loads(out):

@@ -323,10 +323,7 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except PrecisionExhausted as e:
-        print(
-            f"precision exhausted: {e}; raise --max-window (or CHARP_WINDOW)",
-            file=sys.stderr,
-        )
+        print(f"precision exhausted: {e}; raise --max-window", file=sys.stderr)
         return 3
     except (CharpError, AssertionError) as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)

@@ -14,17 +14,16 @@ the window and recompute; the latter has valuation +infinity.
 Elements are immutable and every operation returns a new element.
 
 Coefficient vectors are multiplied, added, negated and scaled by Kronecker
-packing: each vector becomes one big integer, so a whole convolution (or a
-whole sum of convolutions, see :meth:`LaurentElement.dot`) runs inside
-CPython's long arithmetic.  The limbs are 8, 16 or 32 bits wide, the
-narrowest that holds the largest value a limb of the result can reach: for
-a sum of products c * x * y that is sum(c * min(len x, len y)) * (p-1)**2,
-which must stay below 2**bits so that no carry crosses a limb boundary.
-Past 32 bits a product falls back to a plain convolution and a sum of
-products to pairwise products.  Each element caches its packed
-coefficients at the width it was last used at, so an operand used again is
-not packed again, and a prefix of it is a mask.  Results are reduced mod p
-by bytes.translate whenever every residue fits a byte.
+packing, for every p: each vector becomes one big integer, so a whole
+convolution (or a whole sum of convolutions, see :meth:`LaurentElement.dot`;
+a sum of two elements is such a sum against the exact one) runs inside
+CPython's long arithmetic.  A limb is the fewest bytes, a power of two,
+that hold the largest value a limb of the result can reach: for a sum of
+products c * x * y that is sum(c * min(len x, len y)) * (p-1)**2, so no
+carry crosses a limb boundary.  Each element caches its packed
+coefficients at the limb size it was last used at, so an operand used again
+is not packed again, and a prefix of it is a mask.  Results are reduced mod
+p by bytes.translate whenever every residue fits a byte.
 
 The Multiplier owns the values that depend only on p, lambda and a working
 width (truncated powers of lambda, the prefactors of Phi and psi), memoized
@@ -120,40 +119,39 @@ def _is_prime(n: int) -> bool:
 
 # -- coefficient kernel ------------------------------------------------------
 # Coefficient vectors are sequences of ints reduced mod p, lowest exponent
-# first.  A vector is packed into one integer with limbs of 8, 16 or 32
-# bits; an operation picks the narrowest width that holds the largest value
-# one of its limbs can reach, and falls back to a plain loop past 32 bits.
+# first.  A vector is packed into one integer with limbs of 1, 2, 4, 8, 16,
+# ... bytes; an operation picks the fewest bytes that hold the largest value
+# one of its limbs can reach, so a limb never carries into the next.
 
-_TYPECODES = {8: "B", 16: "H", 32: "I"}
-_USED = {bits: (bits, None) for bits in _TYPECODES}  # packed once, not kept
+_TYPECODES = {array(code).itemsize: code for code in "BHIQ"}  # limb bytes -> array typecode
 _BYTE_TABLES = {}  # (p, j) -> the table b -> (b << 8j) % p for byte position j
 
 
-def _limb_bits(top):
-    """Narrowest limb width that holds every value up to `top`, or None."""
-    if top < 0x100:
-        return 8
-    if top < 0x10000:
-        return 16
-    if top < 0x100000000:
-        return 32
-    return None
+def _limb_size(top):
+    """Fewest bytes, a power of two, whose limbs hold every value up to `top`."""
+    size = 1
+    while top >> (8 * size):
+        size *= 2
+    return size
 
 
-def _pack(vec, bits, p) -> int:
-    """vec as one integer with `bits`-bit limbs.
+def _pack(vec, size, p) -> int:
+    """vec as one integer with `size`-byte limbs.
 
     Residues of p <= 256 are packed through bytes(), which takes the bytes
     that _residues returns (array() would read those as machine words) and
-    packs a list twice as fast as array() does."""
-    if p > 256:
-        return int.from_bytes(array(_TYPECODES[bits], vec).tobytes(), "little")
-    raw = bytes(vec)
-    size = bits >> 3
-    if size > 1:
-        wide = bytearray(len(raw) * size)
-        wide[::size] = raw
-        raw = wide
+    packs a list twice as fast as array() does.  Limbs wider than a machine
+    word are written one coefficient at a time."""
+    if p <= 256:
+        raw = bytes(vec)
+        if size > 1:
+            wide = bytearray(len(raw) * size)
+            wide[::size] = raw
+            raw = wide
+    elif size in _TYPECODES:
+        raw = array(_TYPECODES[size], vec).tobytes()
+    else:
+        raw = b"".join(x.to_bytes(size, "little") for x in vec)
     return int.from_bytes(raw, "little")
 
 
@@ -164,13 +162,12 @@ def _byte_table(p, j):
     return got
 
 
-def _residues(n, count, bits, p):
+def _residues(n, count, size, p):
     """The first `count` limbs of n, reduced mod p (n holds no more limbs).
 
     When every byte of a limb, reduced with its place value, and their sum
     fit a byte, the limbs are reduced by bytes.translate and come back as
     bytes; otherwise as a list."""
-    size = bits >> 3
     raw = n.to_bytes(count * size, "little")
     if size * (p - 1) < 0x100:
         if size == 1:
@@ -179,31 +176,18 @@ def _residues(n, count, bits, p):
         for j in range(size):
             acc += int.from_bytes(raw[j::size].translate(_byte_table(p, j)), "little")
         return acc.to_bytes(count, "little").translate(_byte_table(p, 0))
-    return [x % p for x in array(_TYPECODES[bits], raw)]
+    if size in _TYPECODES:
+        return [x % p for x in array(_TYPECODES[size], raw)]
+    return [int.from_bytes(raw[i : i + size], "little") % p for i in range(0, len(raw), size)]
 
 
-def _packed_product(a, b, n, bits, p, c=1):
-    """First n residues of c*a*b, for a and b packed at `bits` and a limb
-    bound of c*a*b that `bits` holds."""
+def _packed_product(a, b, n, size, p, c=1):
+    """First n residues of c*a*b, for a and b packed at `size` and a limb
+    bound of c*a*b that `size` holds."""
     prod = a * b
     if c != 1:
         prod *= c
-    return _residues(prod & ((1 << (bits * n)) - 1), n, bits, p)
-
-
-def _plain_mul(a, b, p, n, c=1) -> list:
-    """First n coefficients of c*a*b by a plain convolution (any p)."""
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai == 0 or i >= n:
-            continue
-        ai = ai * c % p
-        for j, bj in enumerate(b):
-            k = i + j
-            if k >= n:
-                break
-            out[k] = (out[k] + ai * bj) % p
-    return out
+    return _residues(prod & ((1 << (8 * size * n)) - 1), n, size, p)
 
 
 def _mul(a, b, p, nmax=None, c=1):
@@ -218,10 +202,8 @@ def _mul(a, b, p, nmax=None, c=1):
         return []
     a = a[:n]
     b = b[:n]
-    bits = _limb_bits(c * min(len(a), len(b)) * (p - 1) ** 2)
-    if bits is None:
-        return _plain_mul(a, b, p, n, c)
-    return _packed_product(_pack(a, bits, p), _pack(b, bits, p), n, bits, p, c)
+    size = _limb_size(c * min(len(a), len(b)) * (p - 1) ** 2)
+    return _packed_product(_pack(a, size, p), _pack(b, size, p), n, size, p, c)
 
 
 def _inv(a, p, n) -> list:
@@ -246,6 +228,7 @@ def _inv(a, p, n) -> list:
 
 
 _ZEROS = {}  # p -> the shared exact zero of F_p((t))
+_ONES = {}  # p -> the shared exact one
 
 
 class LaurentElement:
@@ -256,9 +239,9 @@ class LaurentElement:
     empty).  Exponents from the end of the store up to known_to are known to
     be zero; from known_to on, nothing is claimed.
 
-    _packed caches the coefficients packed at one limb width, as (bits,
-    integer), from the second use at that width on; after the first it
-    holds (bits, None).  Most elements are used once, and they keep no
+    _packed caches the coefficients packed at one limb size, as (size in
+    bytes, integer), from the second use at that size on; after the first
+    it holds (size, None).  Most elements are used once, and they keep no
     packing.  The cache is not part of the value (== and hash ignore it).
     """
 
@@ -299,7 +282,11 @@ class LaurentElement:
 
     @classmethod
     def one(cls, p):
-        return cls(p, 0, (1,))
+        """The exact one; one shared instance per p."""
+        got = _ONES.get(p)
+        if got is None:
+            got = _ONES[p] = cls(p, 0, (1,))
+        return got
 
     @classmethod
     def from_terms(cls, p, terms):
@@ -377,50 +364,24 @@ class LaurentElement:
             return other._start() + xk
         return min(self._start() + yk, other._start() + xk)
 
-    def _limbs(self, bits, count=None):
-        """The first `count` coefficients (all by default) packed at `bits`."""
+    def _limbs(self, size, count=None):
+        """The first `count` coefficients (all by default) packed in
+        `size`-byte limbs."""
         got = self._packed
-        if got is not None and got[0] == bits and got[1] is not None:
+        if got is not None and got[0] == size and got[1] is not None:
             n = got[1]
         else:
-            n = _pack(self.coeffs, bits, self.p)
-            self._packed = (bits, n) if got is not None and got[0] == bits else _USED[bits]
+            n = _pack(self.coeffs, size, self.p)
+            self._packed = (size, n if got is not None and got[0] == size else None)
         if count is not None and count < len(self.coeffs):
-            return n & ((1 << (bits * count)) - 1)
+            return n & ((1 << (8 * size * count)) - 1)
         return n
 
     def __add__(self, other):
         if not isinstance(other, LaurentElement):
             return NotImplemented
-        p = self.p
-        known = min(self._known(), other._known())
-        known_to = None if known == INF else known
-        if not self.coeffs and not other.coeffs:
-            if known_to is None:
-                return LaurentElement.zero(p)
-            return LaurentElement.zero_up_to(p, known)
-        parts = [x for x in (self, other) if x.coeffs]
-        lo = min(x.vmin for x in parts)
-        top = max(x.vmin + len(x.coeffs) for x in parts)
-        hi = min(top, known)
-        if hi <= lo:
-            return LaurentElement.zero_up_to(p, known)
-        count = hi - lo
-        bits = _limb_bits(2 * (p - 1))
-        if bits is None:
-            out = [0] * count
-            for x in parts:
-                for idx, c in enumerate(x.coeffs):
-                    e = x.vmin + idx - lo
-                    if e < count:
-                        out[e] = (out[e] + c) % p
-            return LaurentElement(p, lo, out, known_to)
-        total = 0
-        for x in parts:
-            total += x._limbs(bits) << (bits * (x.vmin - lo))
-        if hi < top:
-            total &= (1 << (bits * count)) - 1
-        return LaurentElement(p, lo, _residues(total, count, bits, p), known_to)
+        one = LaurentElement.one(self.p)
+        return LaurentElement.dot(self.p, ((1, self, one), (1, other, one)))
 
     def __neg__(self):
         return self.scale(-1)
@@ -435,17 +396,9 @@ class LaurentElement:
         p = self.p
         c %= p
         if c == 0:
-            if self.exact:
-                return LaurentElement.zero(p)
-            return LaurentElement.zero_up_to(p, self.known_to)
-        if c == 1:
-            return self
-        count = len(self.coeffs)
-        bits = _limb_bits(c * (p - 1))
-        if bits is None:
-            out = [(c * a) % p for a in self.coeffs]
-        else:
-            out = _residues(c * self._limbs(bits), count, bits, p)
+            return LaurentElement.zero(p) if self.exact else LaurentElement.zero_up_to(p, self.known_to)
+        size = _limb_size(c * (p - 1))
+        out = _residues(c * self._limbs(size), len(self.coeffs), size, p)
         return LaurentElement(p, self.vmin, out, self.known_to)
 
     def __mul__(self, other):
@@ -471,27 +424,23 @@ class LaurentElement:
                 return LaurentElement.zero_up_to(p, known_to)
             la = min(la, n)
             lb = min(lb, n)
-        bits = _limb_bits((la if la < lb else lb) * (p - 1) ** 2)
-        if bits is None:
-            out = _plain_mul(xc[:la], yc[:lb], p, n)
-        else:
-            out = _packed_product(self._limbs(bits, la), other._limbs(bits, lb), n, bits, p)
+        size = _limb_size((la if la < lb else lb) * (p - 1) ** 2)
+        out = _packed_product(self._limbs(size, la), other._limbs(size, lb), n, size, p)
         return LaurentElement(p, lo, out, known_to)
 
     @staticmethod
     def dot(p, triples):
         """Sum of c * x * y over triples (c, x, y), c a residue mod p.
 
-        Equal, known_to included, to adding up ``(x * y).scale(c)`` pairwise:
+        Equal, known_to included, to the sum of the products c times ``x * y``:
         each product certifies up to min(x's start + y's horizon, y's start +
         x's horizon), as in ``*``, and the sum up to the least of those.  The
         products are shifted to their offsets inside one packed integer and
         the sum is unpacked once.  Each operand is cut to the coefficients
         that can reach below the sum's horizon.  A limb of the sum is at most
         sum(c * min(len x, len y)) * (p-1)**2, and that bound picks the limb
-        width.
+        size.  ``+`` is a sum of this kind against the exact one.
         """
-        triples = list(triples)
         known = INF
         lo = hi = None
         load = 0
@@ -517,25 +466,20 @@ class LaurentElement:
             if known_to is None:
                 return LaurentElement.zero(p)
             return LaurentElement.zero_up_to(p, known_to)
-        bits = _limb_bits(load * (p - 1) ** 2)
-        if bits is None:
-            # large primes or long sums: a limb could carry, so add pairwise
-            acc = LaurentElement.zero(p)
-            for c, x, y in triples:
-                acc = acc + (x * y).scale(c)
-            return acc
+        size = _limb_size(load * (p - 1) ** 2)
+        bits = 8 * size
         width = min(hi, known) - lo
         total = 0
         for c, x, y, v in live:
             off = v - lo
             room = width - off
             if room > 0:
-                prod = x._limbs(bits, room) * y._limbs(bits, room)
+                prod = x._limbs(size, room) * y._limbs(size, room)
                 if c != 1:
                     prod *= c
                 total += prod << (bits * off)
         total &= (1 << (bits * width)) - 1
-        return LaurentElement(p, lo, _residues(total, width, bits, p), known_to)
+        return LaurentElement(p, lo, _residues(total, width, size, p), known_to)
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:

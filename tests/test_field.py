@@ -15,6 +15,7 @@ from charp.field import (
     Multiplier,
     PrimeContext,
     _is_prime,
+    _limb_size,
     _mul,
     _shared_multiplier,
     make_lambda,
@@ -136,6 +137,11 @@ class TestArithmetic:
         assert LaurentElement.zero(5) is z
         assert el(5, "t") * z is z
         assert LaurentElement.zero(3) is not z and LaurentElement.zero(3).p == 3
+
+    def test_exact_one_is_shared_per_prime(self):
+        one = LaurentElement.one(5)
+        assert LaurentElement.one(5) is one and one == el(5, "1")
+        assert LaurentElement.one(3) is not one and LaurentElement.one(3).p == 3
 
     def test_truncation_window_shrinks_in_products(self):
         a = el(5, "1 + t").truncate(3)  # known below t^3
@@ -368,12 +374,12 @@ class TestDot:
     @pytest.mark.parametrize(
         "p, count, width",
         [
-            (4294967311, 2, 3),  # p itself does not fit a 32-bit limb
-            (65537, 3, 4),  # (p-1)^3 alone exceeds a 32-bit limb
-            (257, 20, 20),  # (p-1)^3 fits, but the sum of 20 long products does not
+            (4294967311, 2, 3),  # (p-1)^2 alone needs 16-byte limbs
+            (65537, 3, 4),  # (p-1)^3 alone exceeds a 4-byte limb
+            (257, 20, 20),  # (p-1)^3 fits 4 bytes, but the sum of 20 long products does not
         ],
     )
-    def test_limb_overflow_falls_back_to_pairwise(self, p, count, width):
+    def test_limb_overflow_widens_the_limbs(self, p, count, width):
         # every coefficient at p - 1 makes the packed limbs carry if the
         # bound check is wrong
         top = p - 1
@@ -383,9 +389,35 @@ class TestDot:
         assert_same_element(LaurentElement.dot(p, triples), plain_dot(p, triples))
 
 
-# Kronecker limb widths at the edge of each width's bound
+class TestLargePrimes:
+    # residues past one byte (257), two (65537) and four (4294967311), and
+    # limbs past eight bytes ((2^61 - 2)^2 alone needs sixteen)
+    @given(data=st.data(), p=st.sampled_from([257, 65537, 4294967311, 2**61 - 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_plain_oracles(self, data, p):
+        x = data.draw(dot_operands(p))
+        y = data.draw(dot_operands(p))
+        c = data.draw(st.integers(min_value=-p, max_value=2 * p))
+        assert_same_element(x + y, plain_sum(p, [(1, x), (1, y)]))
+        assert_same_element(x - y, plain_sum(p, [(1, x), (-1, y)]))
+        assert_same_element(x * y, plain_product(x, y))
+        assert_same_element(x.scale(c), plain_sum(p, [(c, x)]))
+        triples = [
+            (data.draw(st.integers(min_value=0, max_value=2 * p)), data.draw(dot_operands(p)), data.draw(dot_operands(p)))
+            for _ in range(data.draw(st.integers(0, 4)))
+        ]
+        assert_same_element(LaurentElement.dot(p, triples), plain_dot(p, triples))
+        if x.has_certified_leading_term():
+            width = data.draw(st.integers(min_value=1, max_value=24))
+            assert_same_element(x.inverse(width), plain_inverse(x, width))
 
-LIMB_PRIMES = (3, 5, 7, 13, 251, 257, 65537, 4294967311)
+
+# Kronecker limbs at the edge of each limb size's bound; a case names the
+# limb in bits.  2^31 - 1 puts an edge of the 8-byte limb (loads 4 and 5)
+# and 2^61 - 1 one of the 16-byte limb (loads 64 and 65) under the caps.
+
+LIMB_PRIMES = (3, 5, 7, 13, 251, 257, 65537, 2**31 - 1, 4294967311, 2**61 - 1)
+LIMB_BITS = (8, 16, 32, 64, 128)
 
 
 def edge_loads(p, bits, cap):
@@ -396,13 +428,8 @@ def edge_loads(p, bits, cap):
 
 
 def edge_cases(cap):
-    """(p, bits, load) for each distinct (p, load) edge, under its widest bits."""
-    cases = {}
-    for p in LIMB_PRIMES:
-        for bits in (8, 16, 32):
-            for load in edge_loads(p, bits, cap):
-                cases[p, load] = bits
-    return [(p, bits, load) for (p, load), bits in cases.items()]
+    """(p, bits, load) for every edge of every limb size."""
+    return [(p, bits, load) for p in LIMB_PRIMES for bits in LIMB_BITS for load in edge_loads(p, bits, cap)]
 
 
 def full(p, vmin, length):
@@ -455,7 +482,7 @@ class TestLimbWidths:
         # a Newton step of the inverse negates inside the product: c*a*b with
         # c = p - 1 peaks at c * load * (p-1)**2 in limb load - 1
         c = p - 1
-        for bits in (8, 16, 32):
+        for bits in LIMB_BITS:
             first = -(-(1 << bits) // (c * (p - 1) ** 2))
             for load in (first - 1, first):
                 if not 1 <= load <= 1024:
@@ -476,44 +503,50 @@ class TestLimbWidths:
             assert_same_element(full(p, 3, load).inverse(width), plain_inverse(full(p, 3, load), width))
 
     def test_every_width_is_reached(self):
-        # the edge cases cover each width on both sides and the fallback
-        seen = {(bits, load * (p - 1) ** 2 < 1 << bits) for p, bits, load in edge_cases(70000)}
-        assert seen == {(b, side) for b in (8, 16, 32) for side in (True, False)}
+        # the edge cases cover both sides of every limb size's bound, and
+        # the kernel picks that size or a narrower one on the near side only
+        seen = set()
+        for p, bits, load in edge_cases(70000):
+            fits = load * (p - 1) ** 2 < 1 << bits
+            assert (_limb_size(load * (p - 1) ** 2) <= bits // 8) == fits
+            seen.add((bits, fits))
+        assert seen == {(b, side) for b in LIMB_BITS for side in (True, False)}
 
 
 # the packed-coefficient cache on each element
 
 class TestPackedCache:
     def test_whole_then_cut_then_second_width(self):
+        # the cache holds the limb size in bytes that x was last packed at
         p = 5
         x = full(p, 0, 40)
         short = LaurentElement(p, 0, [1, 2, 3])
         cut = LaurentElement(p, 2, [1, 2, 3], 12)  # x is cut to 10 coefficients
         long = full(p, 1, 40)
         steps = [
-            (lambda z: z * short, 8),  # load 3 * 16 < 256
-            (lambda z: z * cut, 8),
-            (lambda z: z * long, 16),  # load 40 * 16
-            (lambda z: LaurentElement.dot(p, [(4, z, short), (3, cut, z)]), 16),  # load 21
-            (lambda z: z + short, 8),
-            (lambda z: z - long, 8),
-            (lambda z: z.scale(3), 8),
-            (lambda z: z * long, 16),
-            (lambda z: z * cut, 8),
+            (lambda z: z * short, 1),  # load 3 * 16 < 256
+            (lambda z: z * cut, 1),
+            (lambda z: z * long, 2),  # load 40 * 16
+            (lambda z: LaurentElement.dot(p, [(4, z, short), (3, cut, z)]), 2),  # load 21
+            (lambda z: z + short, 1),  # a sum against the exact one: load 2
+            (lambda z: z - long, 1),
+            (lambda z: z.scale(3), 1),
+            (lambda z: z * long, 2),
+            (lambda z: z * cut, 1),
         ]
-        for op, bits in steps:
+        for op, size in steps:
             assert_same_element(op(x), op(full(p, 0, 40)))  # a fresh element packs anew
-            assert x._packed[0] == bits
+            assert x._packed[0] == size
         assert_same_element(x * cut, plain_product(x, cut))
         assert_same_element(x * long, plain_product(x, long))
 
     def test_equality_and_hash_ignore_the_cache(self):
         a = LaurentElement(7, -2, [1, 2, 3], 5)
         b = LaurentElement(7, -2, [1, 2, 3], 5)
-        for bits in (None, 8, 16, 32):
-            if bits:
-                a._limbs(bits)
-                assert a._packed[0] == bits and b._packed is None
+        for size in (None, 1, 2, 4, 8, 16):
+            if size:
+                a._limbs(size)
+                assert a._packed[0] == size and b._packed is None
             assert a == b and hash(a) == hash(b)
             assert b in {a} and a in {b}
         assert a != LaurentElement(7, -2, [1, 2, 3])
