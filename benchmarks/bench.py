@@ -1,7 +1,7 @@
-"""Corpus and kernel timings of charp checkouts, side by side, in BENCH_7.json.
+"""Corpus, kernel and layer timings of charp checkouts, side by side, in one JSON file.
 
-    python benchmarks/bench.py                          # this checkout alone
-    python benchmarks/bench.py parent=../parent change=.
+    python benchmarks/bench.py --out BENCH.json                          # this checkout alone
+    python benchmarks/bench.py --out BENCH.json parent=../parent change=.
 
 Each argument LABEL=ROOT names a checkout; its ``src`` directory is put on
 PYTHONPATH.  The checkouts are measured in alternation, one run of each per
@@ -19,9 +19,16 @@ over minutes moves every side alike.  Every row is the median of RUNS
   interpreter per side and round: ``_mul``, ``_inv``, ``LaurentElement.dot``,
   ``+``, ``-`` and ``scale`` on fixed seeded operands at p = 5, and ``*``,
   ``dot`` and ``inverse`` at p = 4294967311, whose products need 16-byte
-  limbs, with the number of calls behind each time.  ``dot`` at p = 5 is
-  timed on fresh operands and on operands already used once, as DP nodes
-  and numerators are used again.
+  limbs, and ``+`` there, whose sums fit 8-byte limbs, with the number of
+  calls behind each time.  ``dot`` at p = 5 is timed on fresh operands and
+  on operands already used once, as DP nodes and numerators are used again.
+* Layer rows time the recurrence cold, every process-wide cache of charp
+  cleared and a fresh map built before each pass (not timed): one level
+  sweep ``phi(4, 0, 4 * 5^4)`` on the z^5 map at p = 5, and ``numerator``
+  over a fixed list of windows on the high-shift map ``{1: t^10, 4: t}``.
+  Each also records how many numerators its table built and how many DP
+  nodes it stored, so that a change in time can be traced to a change in
+  work.
 
 Timings are taken as the machine is; nothing on it is tuned.
 """
@@ -145,9 +152,11 @@ def corpus_rows(sides: dict) -> dict:
 
 
 def kernel_sample() -> list:
-    """One sample of every kernel case, as (name, calls, what, seconds per
-    call); charp is imported from PYTHONPATH."""
+    """One sample of every kernel and layer case, as (name, kind, calls,
+    what, seconds per call, counts); charp is imported from PYTHONPATH."""
+    from charp import combinat, field, recurrence
     from charp.field import LaurentElement, _inv, _mul
+    from charp.recurrence import DynamicalSeries, LevelTable
 
     def operands(p, rng):
         def vec(n):
@@ -178,6 +187,7 @@ def kernel_sample() -> list:
 
     reused = fresh_dots()
     large_muls = [(large_node(64), large_node(64)) for _ in range(20)]
+    large_sums = [(large_node(64), large_node(64)) for _ in range(200)]
     large_invs = [large_node(64) for _ in range(10)]
 
     def large_dots():
@@ -219,6 +229,34 @@ def kernel_sample() -> list:
         for x in large_invs:
             x.inverse(64)
 
+    def time_large_add():
+        for x, y in large_sums:
+            x + y
+
+    def cold_table(p, coeffs):
+        """A fresh table of a fresh map, with every process-wide cache of
+        charp (lru_cache functions and the shared multipliers) cleared."""
+        for module in (combinat, field, recurrence):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+        return LevelTable(DynamicalSeries.from_spec(p, coeffs))
+
+    numerator_windows = [(r, r + d) for r in range(0, 200, 4) for d in range(1, 61)]
+
+    def time_sweep(table):
+        table.phi(4, 0, 4 * 5**4)
+
+    def time_numerators(table):
+        for r, s in numerator_windows:
+            table.numerator(r, s)
+
+    def layer_counts(table):
+        return {
+            "numerators_built": len(table._num),
+            "dp_nodes": sum(len(st["g"]) for st in table._dp.values()),
+        }
+
     cases = [
         ("_mul", time_mul, None, len(muls), "truncated products, 50 of length 64 and 10 of length 256"),
         ("_inv", time_inv, None, len(invs), "Newton inverses, 20 to 64 and 5 to 256 coefficients"),
@@ -230,17 +268,30 @@ def kernel_sample() -> list:
         (f"* p={LARGE_P}", time_large_mul, None, len(large_muls), "products of two length-64 windows"),
         (f"dot p={LARGE_P}", time_large_dot, large_dots, 10, "8 products of length-64 windows per call, on operands built anew (not timed)"),
         (f"inverse p={LARGE_P}", time_large_inv, None, len(large_invs), "inverses of length-64 windows to 64 coefficients"),
+        (f"+ p={LARGE_P}", time_large_add, None, len(large_sums), "sums of two length-64 windows"),
+    ]
+    layers = [
+        ("level sweep z^5 p=5", time_sweep, lambda: cold_table(5, {4: 1}), 1, "phi(4, 0, 4 * 5^4) on a cold table"),
+        (
+            "numerator high-shift p=5",
+            time_numerators,
+            lambda: cold_table(5, {1: "t^10", 4: "t"}),
+            len(numerator_windows),
+            "numerator(r, r + d) on a cold table, r = 0, 4, ..., 196 and d = 1..60",
+        ),
     ]
     time_dot(reused)  # the operands have been used once
     out = []
-    for name, fn, make, calls, what in cases:
-        seconds = 0.0
-        for _ in range(KERNEL_PASSES):
-            args = () if make is None else (make(),)
-            start = time.perf_counter()
-            fn(*args)
-            seconds += time.perf_counter() - start
-        out.append((name, calls, what, seconds / KERNEL_PASSES / calls))
+    for kind, rows in (("kernel", cases), ("layer", layers)):
+        for name, fn, make, calls, what in rows:
+            seconds = 0.0
+            for _ in range(KERNEL_PASSES):
+                args = () if make is None else (make(),)
+                start = time.perf_counter()
+                fn(*args)
+                seconds += time.perf_counter() - start
+            counts = layer_counts(*args) if kind == "layer" else None
+            out.append((name, kind, calls, what, seconds / KERNEL_PASSES / calls, counts))
     return out
 
 
@@ -251,16 +302,19 @@ def kernel_rows(sides: dict) -> dict:
         _s, _mb, out, _err, code = run_child([str(Path(__file__).resolve()), "--kernel-sample"], root)
         if code != 0:
             raise SystemExit(f"{label}: kernel sample failed (exit code {code})")
-        for name, calls, what, per_call in json.loads(out):
+        for name, kind, calls, what, per_call, counts in json.loads(out):
             samples[label].setdefault(name, []).append(per_call)
-            meta[name] = (calls, what)
+            meta[label, name] = (kind, calls, what, counts)
     rows = {}
     for label, by_name in samples.items():
         rows[label] = []
         for name, values in by_name.items():
-            calls, what = meta[name]
+            kind, calls, what, counts = meta[label, name]
             us = statistics.median(values) * 1e6
-            rows[label].append({"row": name, "kind": "kernel", "what": what, "calls": calls, "us_per_call": us, "runs": RUNS})
+            row = {"row": name, "kind": kind, "what": what, "calls": calls, "us_per_call": us, "runs": RUNS}
+            if counts is not None:
+                row["counts"] = counts
+            rows[label].append(row)
             print(f"# {label}: {name}: {us:.1f} us/call", file=sys.stderr)
     return rows
 
@@ -274,12 +328,14 @@ def describe(root: Path):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("sides", nargs="*", metavar="LABEL=ROOT", help="checkouts to measure (default: change=this one)")
-    ap.add_argument("--out", type=Path, default=HERE.parent / "BENCH_7.json")
+    ap.add_argument("--out", type=Path, help="the JSON file to write (required unless --kernel-sample)")
     ap.add_argument("--kernel-sample", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.kernel_sample:
         print(json.dumps(kernel_sample()))
         return 0
+    if args.out is None:
+        ap.error("--out is required")
     sides = {}
     for spec in args.sides or [f"change={HERE.parent}"]:
         label, sep, root = spec.partition("=")

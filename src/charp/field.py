@@ -437,9 +437,10 @@ class LaurentElement:
         x's horizon), as in ``*``, and the sum up to the least of those.  The
         products are shifted to their offsets inside one packed integer and
         the sum is unpacked once.  Each operand is cut to the coefficients
-        that can reach below the sum's horizon.  A limb of the sum is at most
-        sum(c * min(len x, len y)) * (p-1)**2, and that bound picks the limb
-        size.  ``+`` is a sum of this kind against the exact one.
+        that can reach below the sum's horizon.  A limb of a product is at
+        most c * min(len x, len y) * (p-1)**2, or c * (p-1) when a factor's
+        only coefficient is 1; the sum of those bounds picks the limb size.
+        ``+`` is a sum of this kind against the exact one.
         """
         known = INF
         lo = hi = None
@@ -459,14 +460,18 @@ class LaurentElement:
                     lo = v
                 if hi is None or top > hi:
                     hi = top
-                load += c * (len(xc) if len(xc) < len(yc) else len(yc))
+                # load counts in units of p - 1
+                if xc == (1,) or yc == (1,):
+                    load += c
+                else:
+                    load += c * (len(xc) if len(xc) < len(yc) else len(yc)) * (p - 1)
                 live.append((c, x, y, v))
         known_to = None if known == INF else known
         if not live or min(hi, known) <= lo:
             if known_to is None:
                 return LaurentElement.zero(p)
             return LaurentElement.zero_up_to(p, known_to)
-        size = _limb_size(load * (p - 1) ** 2)
+        size = _limb_size(load * (p - 1))
         bits = 8 * size
         width = min(hi, known) - lo
         total = 0

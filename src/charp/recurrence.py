@@ -17,8 +17,14 @@ The DP is sparse.  Its per-(k, r) state keeps only the nodes whose value is
 not an exact zero (a horizon zero, known to vanish only up to the window, is
 kept), together with how far the sweep has gone; an admissible point swept
 but absent is an exact zero, and each node sums over stored predecessors
-only.  Windows that no multi-index can fill are recognized by a weight bound
-(LevelTable.window_is_empty) before any numerator is built.
+only.  An edge is skipped before its numerator is built when every residue
+of the window vanishes.  By the generalized Lucas theorem the multinomial
+binom(r+1; r+1-w, alpha) is nonzero mod p exactly when the base-p digits of
+the parts add up to those of r + 1 without a carry, so the gaps s - r with
+a nonzero residue are the sums over the digits n_j of r + 1 of p^j times a
+sum of at most n_j support elements (_carry_free_gaps).  That set also
+leaves out every gap past (r + 1) * max(support), where no multi-index
+exists at all.
 
 Every sum of products is one packed multiply-accumulate
 (LaurentElement.dot): the terms residue * a^alpha * lambda^alpha0 of a
@@ -78,6 +84,46 @@ def _binomial_row(n: int, p: int) -> tuple[int, ...]:
     with base point r = n - 1, in every table over F_p, reads the same
     row."""
     return tuple(binomial_residue(n, w, p) for w in range(n + 1))
+
+
+@functools.lru_cache(maxsize=256)
+def _support_sums(support: tuple) -> list[int]:
+    """Row m is the bitset S_m of the sums of at most m elements of support
+    (bit g set when g is such a sum), so S_0 = {0}.  The list starts at S_0
+    and _carry_free_gaps grows it to the largest digit it meets; it does not
+    depend on p."""
+    return [1]
+
+
+@functools.lru_cache(maxsize=4096)
+def _carry_free_gaps(n: int, p: int, support: tuple) -> int:
+    """The gaps d for which some multi-index of weight <= n over support has
+    a nonzero residue binom(n; n-w, alpha) mod p, as a bitset (bit d set).
+
+    The residue is nonzero exactly when the base-p digits of the parts add
+    up to the digits n_j of n without a carry, and then digit j of the parts
+    on support carries p^j times a sum of at most n_j support elements: the
+    set is the sum over j of p^j * S_{n_j}.  Cached process-wide: every
+    edge from base point r = n - 1, in every table of the same support over
+    F_p, reads the same set."""
+    rows = _support_sums(support)
+    gaps = 1
+    scale = 1
+    while n:
+        n, digit = divmod(n, p)
+        if digit:
+            while len(rows) <= digit:
+                prev = row = rows[-1]
+                for i in support:
+                    row |= prev << i
+                rows.append(row)
+            acc = 0
+            for e, bit in enumerate(reversed(bin(rows[digit]))):
+                if bit == "1":
+                    acc |= gaps << (scale * e)
+            gaps = acc
+        scale *= p
+    return gaps
 
 
 class DynamicalSeries:
@@ -164,7 +210,6 @@ class LevelTable:
         self.f = copy.copy(f)
         self.f._table = None
         self.window = window if window is not None else f.ctx.default_window
-        self._top = max(f.support, default=0)
         self._gap = {}        # s - r -> per-solution data, independent of the window
         self._reset()
 
@@ -190,13 +235,6 @@ class LevelTable:
             raise PrecisionExhausted(f"window cap {cap} reached (at {self.window})")
         self.window = min(2 * self.window, cap)
         self._reset()
-
-    def window_is_empty(self, r: int, s: int) -> bool:
-        """True when the window (r, s) has no multi-index, so its numerator
-        is an exact zero.  A multi-index has weight at most r + 1 and each
-        unit of weight carries degree at most max(support), so none exists
-        once s - r > (r + 1) * max(support)."""
-        return s - r > (r + 1) * self._top
 
     # -- cached building blocks ---------------------------------------------
 
@@ -359,22 +397,28 @@ class LevelTable:
 
         g is the sparse DP state: it holds only nodes that are not exact
         zeros, in increasing order, so the loop visits nonzero predecessors
-        only.  Windows that window_is_empty rules out are skipped before any
-        numerator is built.  The products g[y] * numerator are summed by one
+        only.  An edge whose gap u*(x - y) is missing from the carry-free
+        gaps of its base point u*y has only vanishing residues, so its
+        numerator would be an exact zero: it is skipped before the numerator
+        is built.  Every other numerator is built as it stands, horizon
+        included.  The products g[y] * numerator are summed by one
         LaurentElement.dot, and the sum is multiplied by the prefactor once.
         """
-        u = self.f.u
+        f = self.f
+        u = f.u
+        p = f.p
+        support = f.support
         triples = []
         for y, gy in g.items():
             if y >= x:
                 break
-            if self.window_is_empty(u * y, u * x):
+            if not _carry_free_gaps(u * y + 1, p, support) >> (u * (x - y)) & 1:
                 continue
             num = self.numerator(u * y, u * x)
             if num.is_exact_zero():
                 continue
             triples.append((1, gy, num))
-        acc = LaurentElement.dot(self.f.p, triples)
+        acc = LaurentElement.dot(p, triples)
         if acc.is_exact_zero():
             return acc
         return acc * self._inv_prefactor(u * x)

@@ -432,6 +432,18 @@ def edge_cases(cap):
     return [(p, bits, load) for p in LIMB_PRIMES for bits in LIMB_BITS for load in edge_loads(p, bits, cap)]
 
 
+def sum_edge_cases(most=64):
+    """(p, bits, load) for every edge of every limb size that a sum of at
+    most `most` terms c * x against the exact one reaches: such a sum
+    peaks at load * (p-1), load the sum of the c."""
+    out = []
+    for p in LIMB_PRIMES:
+        for bits in LIMB_BITS:
+            first = -(-(1 << bits) // (p - 1))
+            out += [(p, bits, load) for load in (first - 1, first) if 1 <= load <= most * (p - 1)]
+    return out
+
+
 def full(p, vmin, length):
     """length coefficients, each p - 1, from t^vmin on."""
     return LaurentElement(p, vmin, [p - 1] * length)
@@ -494,6 +506,24 @@ class TestLimbWidths:
                 if p <= 256:
                     # residues come back from the kernel as bytes
                     assert list(_mul(bytes(a), bytes(a), p, None, c)) == want
+
+    @pytest.mark.parametrize("p, bits, load", sum_edge_cases())
+    def test_sum_at_the_edge(self, p, bits, load):
+        # c * x against the exact one peaks at c * (p-1), not c * (p-1)**2,
+        # and the limb is sized to that: narrow enough on the near side
+        one = LaurentElement.one(p)
+        cs = [p - 1] * (load // (p - 1)) + [load % (p - 1)]
+        triples = [(c, full(p, 0, 3), one) for c in cs if c]
+        assert_same_element(LaurentElement.dot(p, triples), plain_dot(p, triples))
+        assert (triples[0][1]._packed[0] <= bits // 8) == (load * (p - 1) < 1 << bits)
+
+    @pytest.mark.parametrize("p", [4294967311, 2**61 - 1])
+    def test_sum_of_two_fits_eight_bytes(self, p):
+        x = full(p, 0, 64)
+        y = full(p, -1, 64).truncate(64)
+        assert_same_element(x + y, plain_sum(p, [(1, x), (1, y)]))
+        assert x._packed[0] == y._packed[0] == 8
+        assert_same_element(x - y, plain_sum(p, [(1, x), (-1, y)]))
 
     @pytest.mark.parametrize("p, bits, load", edge_cases(512))
     def test_inverse_at_the_edge(self, p, bits, load):

@@ -5,6 +5,7 @@ truncated composition)."""
 import gc
 import math
 import weakref
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,8 @@ from charp.recurrence import (
     Phi,
     Phi_chain,
     _binomial_row,
+    _carry_free_gaps,
+    _support_sums,
     b_coeffs,
     b_via_structure,
     conjugacy_residual,
@@ -34,7 +37,14 @@ from charp.recurrence import (
 )
 from charp.criterion import verdict
 
-from conftest import make_map, numerator_by_enumeration, phi_by_enumeration, quadratic, random_maps
+from conftest import (
+    make_map,
+    multinomial_by_factorials,
+    numerator_by_enumeration,
+    phi_by_enumeration,
+    quadratic,
+    random_maps,
+)
 
 INF = math.inf
 
@@ -121,8 +131,9 @@ class TestPhiK:
 
 
 class TestSparseLevelDP:
-    # the DP stores only nodes that are not exact zeros and skips windows the
-    # weight bound rules out; both shortcuts are checked against the slow path
+    # the DP stores only nodes that are not exact zeros and skips edges whose
+    # gap is missing from the carry-free gaps of their base point; both
+    # shortcuts are checked against the slow path
 
     @given(
         p=st.sampled_from([3, 5, 7]),
@@ -137,22 +148,44 @@ class TestSparseLevelDP:
         f = make_map(p, {i: f"t^{e}" for i, e in zip(sorted(support), exps)}, default_window=window)
         t = f.table()
         s = r + gap
-        if t.window_is_empty(r, s):
-            assert enumerate_I(f, r, s) == []
+        alphas = enumerate_I(f, r, s)
+        beyond_weight = gap > (r + 1) * max(support)
+        if not _carry_free_gaps(r + 1, p, f.support) >> gap & 1:
             assert t.numerator(r, s).is_exact_zero()
+            if beyond_weight:
+                assert alphas == []
         else:
-            # the bound is tight for a support containing 1 alone
-            assert support != {1} or enumerate_I(f, r, s)
+            # a carry-free gap always has a multi-index behind it
+            assert not beyond_weight and alphas
+        # past the weight bound no gap is set; the bound is tight for a
+        # support containing 1 alone
+        assert not beyond_weight or alphas == []
+        assert support != {1} or beyond_weight or alphas
 
     def test_prediction_never_claims_a_horizon_zero(self):
         narrow = make_map(5, {1: 1, 2: "t^100"}, default_window=8)
         t = narrow.table()
+
+        def predicted_zero(r, s):
+            return not _carry_free_gaps(r + 1, 5, narrow.support) >> (s - r) & 1
+
         for (r, s) in [(5, 7), (10, 12)]:
-            assert not t.window_is_empty(r, s)
+            assert not predicted_zero(r, s)
             assert not t.numerator(r, s).is_exact_zero()
-        for (r, s) in [(0, 3), (1, 6), (4, 15)]:
-            assert t.window_is_empty(r, s)
+        # (4, 6) is within the weight bound, but 5 = r + 1 carries
+        for (r, s) in [(0, 3), (1, 6), (4, 15), (4, 6)]:
+            assert predicted_zero(r, s)
             assert t.numerator(r, s).is_exact_zero()
+        # every window whose numerator is a horizon zero (the t^100 term lies
+        # past the window) or a value keeps its gap
+        horizon_zeros = 0
+        for r in range(0, 30):
+            for s in range(r + 1, r + 50):
+                num = t.numerator(r, s)
+                if not num.is_exact_zero():
+                    assert not predicted_zero(r, s), (r, s)
+                    horizon_zeros += num.is_zero_within_window()
+        assert horizon_zeros
 
     def test_horizon_zero_nodes_are_kept(self):
         # phi_1(4, 9) vanishes only up to the narrow window: the sweep must
@@ -167,6 +200,91 @@ class TestSparseLevelDP:
                 assert dp.is_exact_zero() == oracle.is_exact_zero(), (k, s)
             node = phi_k(f, k, 4, 9)
             assert node.is_zero_within_window() and not node.is_exact_zero()
+
+
+class TestCarryFreeGaps:
+    # the gap sets that let the DP skip an edge without building its
+    # numerator, checked against multinomials from big-integer factorials
+
+    @given(
+        p=st.sampled_from([3, 5, 7, 257]),
+        support=st.sets(st.integers(1, 6), min_size=1, max_size=2),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bits_are_the_nonzero_residues(self, p, support, data):
+        # r + 1 runs over up to four base-p digits (two for p = 257)
+        n = data.draw(st.integers(1, min(p**4, 400) - 1), label="r + 1")
+        r = n - 1
+        f = make_map(p, {i: "t" for i in support}, default_window=8)
+        gaps = _carry_free_gaps(n, p, f.support)
+        top = n * max(support)
+        # the top bit is alpha = n at the largest index, whose residue is 1
+        assert gaps.bit_length() - 1 == top
+        set_bits = [d for d in range(1, top + 1) if gaps >> d & 1]
+        picked = data.draw(st.lists(st.integers(1, top + 3), min_size=3, max_size=3), label="gaps")
+        picked += data.draw(st.lists(st.sampled_from(set_bits), min_size=3, max_size=3), label="set gaps")
+        for d in picked:
+            alphas = enumerate_I(f, r, r + d)
+            nonzero = any(multinomial_by_factorials(n, a.parts()) % p for a in alphas)
+            assert bool(gaps >> d & 1) == nonzero, (n, d)
+            if not nonzero:
+                assert f.table().numerator(r, r + d).is_exact_zero()
+
+    def test_sum_rows(self):
+        # row m holds the sums of at most m support elements
+        support = (2, 3, 7)
+        gaps = _carry_free_gaps(6, 7, support)  # one digit: the row of 6
+        rows = _support_sums(support)
+        assert gaps == rows[6]
+        for m in range(7):
+            sums = {sum(c) for k in range(m + 1) for c in combinations_with_replacement(support, k)}
+            assert {e for e in range(rows[m].bit_length()) if rows[m] >> e & 1} == sums
+
+    @pytest.mark.parametrize("p", [100000000000031, 2**61 - 1])
+    def test_large_primes_grow_rows_to_the_digits_seen(self, p):
+        # every n below p is one digit, so the set is the row of n; the rows
+        # grow to the largest digit asked for, not to p
+        support = (1, 4)
+        _support_sums.cache_clear()
+        _carry_free_gaps.cache_clear()
+        f = make_map(p, {1: 1, 4: "t"}, default_window=8)
+        for n in range(1, 91, 3):
+            gaps = _carry_free_gaps(n, p, support)
+            assert gaps.bit_length() - 1 == 4 * n
+            assert gaps == _support_sums(support)[n]
+            if n <= 16:
+                for d in range(1, 4 * n + 1):
+                    alphas = enumerate_I(f, n - 1, n - 1 + d)
+                    nonzero = any(multinomial_by_factorials(n, a.parts()) % p for a in alphas)
+                    assert bool(gaps >> d & 1) == nonzero
+        assert len(_support_sums(support)) == 89
+
+    @given(
+        p=st.sampled_from([3, 5]),
+        picks=st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True),
+        exps=st.lists(st.integers(-1, 4), min_size=2, max_size=2),
+        units=st.lists(st.integers(1, 4), min_size=2, max_size=2),
+        k=st.sampled_from([0, 1, 2, INF]),
+        r=st.integers(0, 6),
+        gap=st.integers(1, 9),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_lin_family_dp_matches_enumeration(self, p, picks, exps, units, k, r, gap):
+        # every support index i has p | i + 1, so nearly every residue
+        # vanishes and most edges are skipped
+        support = sorted(p * (j + 1) - 1 for j in picks)
+        coeffs = {i: f"{c % p or 1}*t^{e}" for i, e, c in zip(support, exps, units)}
+        f = make_map(p, coeffs)
+        t = LevelTable(f)  # the oracle builds its numerators on f.table()
+        dp = t.phi(k, r, r + gap)
+        oracle = phi_by_enumeration(f, k, r, r + gap)
+        assert dp.agrees_with(oracle), (coeffs, k, r, r + gap)
+        assert dp.is_exact_zero() == oracle.is_exact_zero(), (coeffs, k, r, r + gap)
+        if len(support) == 1:
+            # one solution per gap: an edge the gap set keeps has a nonzero
+            # term, so the DP built no exact-zero numerator at all
+            assert not any(num.is_exact_zero() for num in t._num.values())
 
 
 class TestNumerator:
