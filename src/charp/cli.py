@@ -12,9 +12,13 @@ where the index i is the one in f(z) = z*(lambda + sum a_i z^i), so a_i
 multiplies z^(i+1).  Off-by-one here is the classic mistake: ``--a "1:1"``
 is the quadratic map lambda*z + z^2.
 
-A config file (one ``key = value`` per line, same keys as the flags) can be
-given with --config; explicit flags win over the file.  CHARP_WINDOW
-overrides the default window when --window is absent.
+Each config key is a field of JobConfig, declared there once with its
+default and --help text: p, lambda, a, Kmax, N, window, max_window, seed,
+budget.  A key is set by its flag (--key, "_" written as "-"), by a
+``key = value`` line of a --config file, or by its default; flags win over
+the file, and CHARP_WINDOW overrides the default window when neither sets
+it.  Every report starts with one ``# key = value`` line per key, in this
+order, which JobConfig.from_header_lines reads back.
 
 Exit codes: 0 any verdict, 2 bad config, 3 precision exhausted, 4 internal
 invariant violation.  Output is byte-stable for a fixed config.  With --out
@@ -29,7 +33,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import criterion, lemma_lab
@@ -39,82 +43,61 @@ from .errors import (
     DegenerateLinearMap,
     PrecisionExhausted,
 )
-from .field import LaurentElement, parse_laurent
+from .field import DEFAULT_WINDOW, MAX_WINDOW, LaurentElement, parse_laurent
 from .recurrence import DynamicalSeries, b_coeffs, run_certified
 
 INF = math.inf
 
-_DEFAULTS = {
-    "p": 5,
-    "lambda": "1 + t",
-    "a": "",
-    "Kmax": 3,
-    "N": 20,
-    "window": 64,
-    "max_window": 8192,
-    "seed": 0,
-    "budget": 400,
-}
 
-_INT_KEYS = {"p", "Kmax", "N", "window", "max_window", "seed", "budget"}
+def _key(default, help, key=None, metavar=None):
+    """A JobConfig field with its default and --help text.  Its config key
+    is ``key``, or the field's own name when that is None; its flag is
+    --key with "_" written as "-", and takes the type of the default."""
+    return field(default=default, metadata={"key": key, "help": help, "metavar": metavar})
 
 
 @dataclass(frozen=True)
 class JobConfig:
-    p: int
-    lambda_spec: str
-    a_spec: str
-    Kmax: int
-    N: int
-    window: int
-    max_window: int
-    seed: int
-    budget: int
+    """The settings of one job.  The fields are the config keys, in the
+    order of the report header."""
+
+    p: int = _key(5, "the prime (odd, >= 3)")
+    lambda_spec: str = _key("1 + t", "multiplier literal, default '1 + t'", "lambda", "LIT")
+    a_spec: str = _key("", "coefficients 'i:<Laurent literal>,...' (a_i multiplies z^(i+1))", "a")
+    Kmax: int = _key(3, "dominance levels to try (default 3)")
+    N: int = _key(20, "conjugacy prefix length for bseries")
+    window: int = _key(DEFAULT_WINDOW, "starting t-precision window")
+    max_window: int = _key(MAX_WINDOW, "window escalation cap")
+    seed: int = _key(0, "suite seed")
+    budget: int = _key(400, "max suite cases")
+
+    def __post_init__(self):
+        if self.Kmax < 1:
+            raise ConfigError("Kmax must be >= 1")
+        if self.N < 0:
+            raise ConfigError("N must be >= 0")
+        if not (0 < self.window <= self.max_window):
+            raise ConfigError("need 0 < window <= max_window")
 
     def header_lines(self):
-        return [
-            f"# p = {self.p}",
-            f"# lambda = {self.lambda_spec}",
-            f"# a = {self.a_spec}",
-            f"# Kmax = {self.Kmax}",
-            f"# N = {self.N}",
-            f"# window = {self.window}",
-            f"# max_window = {self.max_window}",
-            f"# seed = {self.seed}",
-            f"# budget = {self.budget}",
-        ]
+        return [f"# {k} = {getattr(self, f.name)}" for k, f in _KEYS.items()]
 
     @classmethod
     def from_mapping(cls, values: dict) -> "JobConfig":
-        merged = dict(_DEFAULTS)
+        """The job of a config-key -> value mapping; keys it lacks or maps
+        to None take their defaults."""
+        given = {}
         for k, v in values.items():
             if v is None:
                 continue
-            if k not in merged:
+            if k not in _KEYS:
                 raise ConfigError(f"unknown config key {k!r}")
-            merged[k] = v
+            given[k] = v
         try:
-            for k in _INT_KEYS:
-                merged[k] = int(merged[k])
+            typed = {_KEYS[k].name: type(_KEYS[k].default)(v) for k, v in given.items()}
         except (TypeError, ValueError) as e:
             raise ConfigError(f"non-integer value: {e}") from e
-        if merged["Kmax"] < 1:
-            raise ConfigError("Kmax must be >= 1")
-        if merged["N"] < 0:
-            raise ConfigError("N must be >= 0")
-        if not (0 < merged["window"] <= merged["max_window"]):
-            raise ConfigError("need 0 < window <= max_window")
-        return cls(
-            p=merged["p"],
-            lambda_spec=str(merged["lambda"]),
-            a_spec=str(merged["a"]),
-            Kmax=merged["Kmax"],
-            N=merged["N"],
-            window=merged["window"],
-            max_window=merged["max_window"],
-            seed=merged["seed"],
-            budget=merged["budget"],
-        )
+        return cls(**typed)
 
     @classmethod
     def from_header_lines(cls, lines) -> "JobConfig":
@@ -129,6 +112,10 @@ class JobConfig:
             k, v = body.split("=", 1)
             values[k.strip()] = v.strip()
         return cls.from_mapping(values)
+
+
+# config key -> JobConfig field, in header order
+_KEYS = {f.metadata["key"] or f.name: f for f in fields(JobConfig)}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -259,15 +246,9 @@ def _write_report(path: str, fn, cfg: JobConfig) -> int:
 
 def _add_common(sp):
     sp.add_argument("--config", help="key = value file; flags override it")
-    sp.add_argument("--p", type=int, help="the prime (odd, >= 3)")
-    sp.add_argument("--lambda", dest="lambda_", metavar="LIT", help="multiplier literal, default '1 + t'")
-    sp.add_argument("--a", help="coefficients 'i:<Laurent literal>,...' (a_i multiplies z^(i+1))")
-    sp.add_argument("--Kmax", type=int, help="dominance levels to try (default 3)")
-    sp.add_argument("--N", type=int, help="conjugacy prefix length for bseries")
-    sp.add_argument("--window", type=int, help="starting t-precision window")
-    sp.add_argument("--max-window", dest="max_window", type=int, help="window escalation cap")
-    sp.add_argument("--seed", type=int, help="suite seed")
-    sp.add_argument("--budget", type=int, help="max suite cases")
+    for k, f in _KEYS.items():
+        flag = "--" + k.replace("_", "-")
+        sp.add_argument(flag, type=type(f.default), metavar=f.metadata["metavar"], help=f.metadata["help"])
     sp.add_argument("--out", help="write the report here instead of stdout")
 
 
@@ -275,22 +256,12 @@ def _collect(args) -> JobConfig:
     values: dict = {}
     if args.config:
         values.update(_parse_config_file(args.config))
-    flag_map = {
-        "p": args.p,
-        "lambda": args.lambda_,
-        "a": args.a,
-        "Kmax": args.Kmax,
-        "N": args.N,
-        "window": args.window,
-        "max_window": args.max_window,
-        "seed": args.seed,
-        "budget": args.budget,
-    }
     if args.window is None and "window" not in values:
         env = os.environ.get("CHARP_WINDOW")
         if env is not None:
             values["window"] = env
-    for k, v in flag_map.items():
+    for k in _KEYS:
+        v = getattr(args, k)
         if v is not None:
             values[k] = v
     return JobConfig.from_mapping(values)

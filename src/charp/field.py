@@ -19,8 +19,9 @@ convolution (or a whole sum of convolutions, see :meth:`LaurentElement.dot`;
 a sum of two elements is such a sum against the exact one) runs inside
 CPython's long arithmetic.  A limb is the fewest bytes, a power of two,
 that hold the largest value a limb of the result can reach: for a sum of
-products c * x * y that is sum(c * min(len x, len y)) * (p-1)**2, so no
-carry crosses a limb boundary.  Each element caches its packed
+products c * x * y that is the sum of c * min(len x, len y) * (p-1)**2 over
+the products, with c * (p-1) in place of a term whose x or y is the single
+coefficient 1, so no carry crosses a limb boundary.  Each element caches its packed
 coefficients at the limb size it was last used at, so an operand used again
 is not packed again, and a prefix of it is a mask.  Results are reduced mod
 p by bytes.translate whenever every residue fits a byte.
@@ -42,6 +43,12 @@ from fractions import Fraction
 from .errors import UncertifiedLeadingTerm
 
 INF = math.inf
+
+# the t-precision budget of a fresh PrimeContext: the starting window and the
+# cap that escalation doubles it up to
+DEFAULT_WINDOW = 64
+MAX_WINDOW = 8192
+
 
 def val_p(n: int, p: int) -> int:
     """Largest e with p**e dividing n, for n >= 1."""
@@ -68,7 +75,7 @@ class PrimeContext:
 
     __slots__ = ("p", "default_window", "max_window")
 
-    def __init__(self, p: int, default_window: int = 64, max_window: int = 8192):
+    def __init__(self, p: int, default_window: int = DEFAULT_WINDOW, max_window: int = MAX_WINDOW):
         if p < 3 or not _is_prime(p):
             raise ValueError(f"p must be an odd prime >= 3, got {p}")
         if not (0 < default_window <= max_window):

@@ -91,6 +91,16 @@ def _certify_bound(table, mult, elem_thunk, rhs, strict):
     return run_certified(table, attempt)
 
 
+def _bound_case(name, params, table, mult, elem_thunk, rhs, strict=False) -> CheckCase:
+    """Pass or Fail of the bound val_mu(elem) > rhs (strict) or >= rhs, with
+    both sides in the detail, or Skip when the window cap cannot certify it."""
+    try:
+        ok, lhs = _certify_bound(table, mult, elem_thunk, rhs, strict)
+    except PrecisionExhausted:
+        return CheckCase(name, params, SKIP, "precision exhausted")
+    return CheckCase(name, params, PASS if ok else FAIL, f"val={lhs} bound={rhs}")
+
+
 def check_congruence(f: DynamicalSeries, k: int, r: int, s: int, m: int, table: LevelTable | None = None) -> CheckCase:
     """Translation stability of the rescaled level sums.
 
@@ -120,15 +130,9 @@ def check_congruence(f: DynamicalSeries, k: int, r: int, s: int, m: int, table: 
     if rhs == INF:
         return CheckCase(name, params, PASS, "bound trivially +inf vs +inf")
 
-    def diff():
-        return t.psi(k, r + m, s + m) - t.psi(k, r, s)
-
-    try:
-        ok, lhs = _certify_bound(t, f.multiplier, diff, rhs, strict)
-    except PrecisionExhausted:
-        return CheckCase(name, params, SKIP, "precision exhausted")
-    outcome = PASS if ok else FAIL
-    return CheckCase(name, params, outcome, f"val={lhs} bound={rhs}")
+    return _bound_case(
+        name, params, t, f.multiplier, lambda: t.psi(k, r + m, s + m) - t.psi(k, r, s), rhs, strict
+    )
 
 
 def check_level_lift(f: DynamicalSeries, k: int, r: int, s: int, table: LevelTable | None = None) -> CheckCase:
@@ -150,14 +154,7 @@ def check_level_lift(f: DynamicalSeries, k: int, r: int, s: int, table: LevelTab
             return CheckCase("level-lift", params, PASS, "both sides +inf")
         return CheckCase("level-lift", params, SKIP, "sampled bound is +inf")
 
-    def lhs_elem():
-        return t.phi(k + 1, r, s)
-
-    try:
-        ok, lhs = _certify_bound(t, f.multiplier, lhs_elem, rhs, strict=False)
-    except PrecisionExhausted:
-        return CheckCase("level-lift", params, SKIP, "precision exhausted")
-    return CheckCase("level-lift", params, PASS if ok else FAIL, f"val={lhs} bound={rhs}")
+    return _bound_case("level-lift", params, t, f.multiplier, lambda: t.phi(k + 1, r, s), rhs)
 
 
 def check_deep_level(f: DynamicalSeries, k: int, r: int, s: int, table: LevelTable | None = None) -> CheckCase:
@@ -181,14 +178,7 @@ def check_deep_level(f: DynamicalSeries, k: int, r: int, s: int, table: LevelTab
     if rhs == INF:
         return CheckCase("deep-level", params, PASS, "bound trivially +inf")
 
-    def lhs_elem():
-        return t.phi(k, r, s)
-
-    try:
-        ok, lhs = _certify_bound(t, f.multiplier, lhs_elem, rhs, strict=False)
-    except PrecisionExhausted:
-        return CheckCase("deep-level", params, SKIP, "precision exhausted")
-    return CheckCase("deep-level", params, PASS if ok else FAIL, f"val={lhs} bound={rhs}")
+    return _bound_case("deep-level", params, t, f.multiplier, lambda: t.phi(k, r, s), rhs)
 
 
 def check_extremal_residue(p: int) -> list[CheckCase]:

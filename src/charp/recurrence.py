@@ -65,6 +65,8 @@ from .errors import (
     UncertifiedLeadingTerm,
 )
 from .field import (
+    DEFAULT_WINDOW,
+    MAX_WINDOW,
     LaurentElement,
     Multiplier,
     PrimeContext,
@@ -151,7 +153,7 @@ class DynamicalSeries:
         self._table = None
 
     @classmethod
-    def from_spec(cls, p, coeffs, lam=None, default_window=64, max_window=8192):
+    def from_spec(cls, p, coeffs, lam=None, default_window=DEFAULT_WINDOW, max_window=MAX_WINDOW):
         """Convenience builder: coeffs maps i to an int, Laurent literal or
         LaurentElement; lam is a Laurent literal (default 1 + t)."""
         ctx = PrimeContext(p, default_window, max_window)
@@ -217,11 +219,10 @@ class LevelTable:
         # every value below depends on the window, so escalate drops them all
         self._num = {}        # (r, s) -> numerator of Phi
         self._Phi = {}        # (r, s) -> Phi(r, s), numerator times prefactor
-        self._phi = {}        # (k, r, s) -> phi_k(r, s)
         self._psi = {}        # (k, r, s) -> psi_k(r, s), phi_k times rescaling
         self._dp = {}         # (k, r) -> {"g": {x: value, not exact zero}, "hi": int}
         self._pow_win = {}    # (i, e) -> window-truncated power of a_i, i >= 1
-        self._gap_prod = {}   # (s - r, entries) -> coefficient-power product
+        self._gap_prod = {}   # entries -> coefficient-power product
 
     def escalate(self):
         """Double the window, clipped to the cap, and drop every cached value
@@ -246,7 +247,7 @@ class LevelTable:
         if got is None:
             base = self.f.a(i)
             span = len(base.coeffs)
-            if span == 1 or (span - 1) * e < 4 * self.window:
+            if (span - 1) * e < 4 * self.window:
                 got = base**e
             else:
                 got = base.truncate(self.window) ** e
@@ -289,9 +290,8 @@ class LevelTable:
             self._gap[d] = got
         return got
 
-    def _solution_product(self, d: int, entries) -> LaurentElement:
-        key = (d, entries)
-        got = self._gap_prod.get(key)
+    def _solution_product(self, entries) -> LaurentElement:
+        got = self._gap_prod.get(entries)
         if got is None:
             got = None
             for i, v in entries:
@@ -299,7 +299,7 @@ class LevelTable:
                 got = factor if got is None else got * factor
             if got is None:
                 got = LaurentElement.one(self.f.p)
-            self._gap_prod[key] = got
+            self._gap_prod[entries] = got
         return got
 
     def numerator(self, r: int, s: int) -> LaurentElement:
@@ -349,7 +349,7 @@ class LevelTable:
             if c == 0:
                 continue
             triples.append(
-                (c, self._solution_product(s - r, entries), lam_pow(r + 1 - weight, window))
+                (c, self._solution_product(entries), lam_pow(r + 1 - weight, window))
             )
         horizon = None
         if not triples and dropped:
@@ -434,10 +434,6 @@ class LevelTable:
         """
         if not (0 <= r < s):
             raise ValueError(f"need 0 <= r < s, got ({r}, {s})")
-        key = (k, r, s)
-        got = self._phi.get(key)
-        if got is not None:
-            return got
         st = self._dp.get((k, r))
         if st is None:
             st = {"g": {r: LaurentElement.one(self.f.p)}, "hi": r}
@@ -452,11 +448,8 @@ class LevelTable:
                     g[x] = val
         st["hi"] = max(st["hi"], top)
         if admissible:
-            val = g.get(s, LaurentElement.zero(self.f.p))
-        else:
-            val = self._node_value(g, s)
-        self._phi[key] = val
-        return val
+            return g.get(s, LaurentElement.zero(self.f.p))
+        return self._node_value(g, s)
 
     def _psi_prefactor(self, k: int, s: int) -> LaurentElement:
         f = self.f

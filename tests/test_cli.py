@@ -2,12 +2,13 @@
 
 import hashlib
 import io
+import re
 import subprocess
 import sys
 
 import pytest
 
-from charp.cli import JobConfig, build_map, main
+from charp.cli import _KEYS, JobConfig, build_map, main
 from charp.field import LaurentElement, _shared_multiplier
 from charp.recurrence import DynamicalSeries, b_coeffs
 
@@ -246,6 +247,78 @@ class TestConfigHandling:
         assert code == 3
         assert kept.read_text() == "previous report\n"
         assert [x.name for x in tmp_path.iterdir()] == ["kept.txt"]
+
+
+# a value other than the default for every config key, as its header prints it
+KEY_VALUES = {
+    "p": "7",
+    "lambda": "1 + t^2",
+    "a": "1:1,2:t",
+    "Kmax": "2",
+    "N": "5",
+    "window": "32",
+    "max_window": "128",
+    "seed": "3",
+    "budget": "0",
+}
+
+
+class TestConfigKeys:
+    def test_every_key_has_a_test_value(self):
+        assert list(KEY_VALUES) == list(_KEYS)
+
+    @pytest.mark.parametrize("key", list(_KEYS))
+    def test_key_by_flag_and_by_config_file(self, key, tmp_path, monkeypatch):
+        monkeypatch.delenv("CHARP_WINDOW", raising=False)
+        value = KEY_VALUES[key]
+        assert value != str(_KEYS[key].default)
+        cfg_file = tmp_path / "job.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        base = ["lemmas"] if key == "budget" else ["lemmas", "--budget", "0"]
+        for extra in (["--" + key.replace("_", "-"), value], ["--config", str(cfg_file)]):
+            code, out = run_cli(base + extra)
+            assert code == 0
+            assert f"# {key} = {value}" in out.splitlines()
+            cfg = JobConfig.from_header_lines(out.splitlines())
+            assert str(getattr(cfg, _KEYS[key].name)) == value
+            assert JobConfig.from_header_lines(cfg.header_lines()) == cfg
+
+    @pytest.mark.parametrize("key", [k for k, f in _KEYS.items() if isinstance(f.default, int)])
+    def test_int_key_rejects_a_non_integer(self, key, tmp_path, capsys):
+        cfg_file = tmp_path / "job.cfg"
+        cfg_file.write_text(f"{key} = 3x\n")
+        code, out = run_cli(["lemmas", "--config", str(cfg_file)])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("config error: non-integer value")
+        code, out = run_cli(["lemmas", "--" + key.replace("_", "-"), "3x"])
+        assert (code, out) == (2, "")
+        assert "invalid int value: '3x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "bseries", "lemmas"])
+    def test_flag_set_is_pinned(self, command):
+        code, out = run_cli([command, "--help"])
+        assert code == 0
+        assert re.findall(r"\[(--[\w-]+)", out) == [
+            "--config", "--p", "--lambda", "--a", "--Kmax", "--N",
+            "--window", "--max-window", "--seed", "--budget", "--out",
+        ]
+        assert "--lambda LIT" in out
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--Kmax", "0"], "Kmax must be >= 1"),
+        (["--N", "-1"], "N must be >= 0"),
+        (["--window", "0"], "need 0 < window <= max_window"),
+        (["--window", "65", "--max-window", "64"], "need 0 < window <= max_window"),
+    ])
+    def test_out_of_range_values_are_config_errors(self, argv, err, capsys):
+        code, out = run_cli(["lemmas", "--budget", "0"] + argv)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"config error: {err}\n"
+
+    def test_window_defaults_are_the_library_defaults(self):
+        cfg = JobConfig.from_mapping({})
+        ctx = DynamicalSeries.from_spec(5, {1: 1}).ctx
+        assert (cfg.window, cfg.max_window) == (ctx.default_window, ctx.max_window)
 
 
 class TestDeterminism:

@@ -8,6 +8,7 @@ from charp.lemma_lab import (
     FAIL,
     PASS,
     SKIP,
+    _bound_case,
     _certify_bound,
     check_extremal_residue,
     check_congruence,
@@ -208,6 +209,32 @@ class TestEscalation:
 
         assert _certify_bound(t, f.multiplier, elem, 0, strict=False) == (True, "0")
         assert t.window == 4
+
+    def test_bound_case_outcomes(self):
+        # the one Pass/Fail/Skip site of the three bound checks: val_mu(1) = 0
+        # meets ">= 0" but not "> 0" or ">= 1", and an element that never
+        # certifies is a Skip at the window cap
+        f = make_map(5, {1: 1}, default_window=1, max_window=2)
+        t = f.table()
+        def one():
+            return LaurentElement.one(5)
+
+        def never():
+            raise UncertifiedLeadingTerm("never")
+
+        got = [
+            _bound_case("c", {}, t, f.multiplier, one, 0),
+            _bound_case("c", {}, t, f.multiplier, one, 0, strict=True),
+            _bound_case("c", {}, t, f.multiplier, one, 1),
+            _bound_case("c", {}, t, f.multiplier, never, 0),
+        ]
+        assert [(c.outcome, c.detail) for c in got] == [
+            (PASS, "val=0 bound=0"),
+            (FAIL, "val=0 bound=0"),
+            (FAIL, "val=0 bound=1"),
+            (SKIP, "precision exhausted"),
+        ]
+        assert t.window == 2
 
 
 class TestSuite:
