@@ -21,10 +21,10 @@ CPython's long arithmetic.  A limb is the fewest bytes, a power of two,
 that hold the largest value a limb of the result can reach: for a sum of
 products c * x * y that is the sum of c * min(len x, len y) * (p-1)**2 over
 the products, with c * (p-1) in place of a term whose x or y is the single
-coefficient 1, so no carry crosses a limb boundary.  Each element caches its packed
-coefficients at the limb size it was last used at, so an operand used again
-is not packed again, and a prefix of it is a mask.  Results are reduced mod
-p by bytes.translate whenever every residue fits a byte.
+coefficient 1, so no carry crosses a limb boundary.  Each element caches
+its packed coefficients at the limb size it was last used at, so an operand
+used again is not packed again, and a prefix of it is a mask.  Results are
+reduced mod p by bytes.translate whenever every residue fits a byte.
 
 The Multiplier owns the values that depend only on p, lambda and a working
 width (truncated powers of lambda, the prefactors of Phi and psi), memoized
