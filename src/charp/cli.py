@@ -30,6 +30,7 @@ report and an existing file untouched.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -267,7 +268,10 @@ def _collect(args) -> JobConfig:
     return JobConfig.from_mapping(values)
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, so every main() call reuses it."""
     parser = argparse.ArgumentParser(
         prog="charp",
         description="Non-linearizability certificates for z*(lambda + sum a_i z^i) over F_p((t))",
@@ -277,8 +281,12 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         _add_common(sp)
         sp.set_defaults(fn=fn)
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

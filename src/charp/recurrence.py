@@ -13,18 +13,22 @@ program over admissible points; explicit enumeration only appears in tests.
 The same DP gives the conjugacy coefficients: b_n is the level-inf chain
 sum phi_inf(0, n/u), so b_coeffs reads nodes of one shared sweep.
 
-The DP is sparse.  Its per-(k, r) state keeps only the nodes whose value is
-not an exact zero (a horizon zero, known to vanish only up to the window, is
-kept), together with how far the sweep has gone; an admissible point swept
-but absent is an exact zero, and each node sums over stored predecessors
-only.  An edge is skipped before its numerator is built when every residue
-of the window vanishes.  By the generalized Lucas theorem the multinomial
+The DP is sparse.  By the generalized Lucas theorem the multinomial
 binom(r+1; r+1-w, alpha) is nonzero mod p exactly when the base-p digits of
 the parts add up to those of r + 1 without a carry, so the gaps s - r with
 a nonzero residue are the sums over the digits n_j of r + 1 of p^j times a
 sum of at most n_j support elements (_carry_free_gaps).  That set also
 leaves out every gap past (r + 1) * max(support), where no multi-index
-exists at all.
+exists at all.  Every support element is a multiple of u, so on support/u
+the same set is in the DP's units: bit x - y of the set of base point u*y
+is the edge y -> x.  Each per-(k, r) state keeps only the nodes whose value
+is not an exact zero (a horizon zero, known to vanish only up to the
+window, is kept), how far the sweep has gone, and its reach: the union over
+stored nodes y of their gap sets shifted by y.  The sweep visits only the
+points in the reach; any other point has no edge from a stored node, so it
+is an exact zero, as is an admissible point swept but absent.  A reached
+point sums over stored predecessors only, and skips an edge missing from
+its base point's gap set before the numerator is built.
 
 Every sum of products is one packed multiply-accumulate
 (LaurentElement.dot): the terms residue * a^alpha * lambda^alpha0 of a
@@ -220,7 +224,9 @@ class LevelTable:
         self._num = {}        # (r, s) -> numerator of Phi
         self._Phi = {}        # (r, s) -> Phi(r, s), numerator times prefactor
         self._psi = {}        # (k, r, s) -> psi_k(r, s), phi_k times rescaling
-        self._dp = {}         # (k, r) -> {"g": {x: value, not exact zero}, "hi": int}
+        # (k, r) -> {"g": {x: value, not exact zero}, "hi": last swept point,
+        #            "reach": bitset of the points an edge from g can reach}
+        self._dp = {}
         self._pow_win = {}    # (i, e) -> window-truncated power of a_i, i >= 1
         self._gap_prod = {}   # entries -> coefficient-power product
 
@@ -392,27 +398,38 @@ class LevelTable:
             return True
         return x % (self.f.p ** int(k)) != 0
 
+    @functools.cached_property
+    def _units(self) -> tuple[int, tuple]:
+        """u and the support divided by u, whose carry-free gap sets count
+        in the DP's units, one point per multiple of u."""
+        u = self.f.u
+        return u, tuple(i // u for i in self.f.support)
+
+    def _gaps(self, y: int) -> int:
+        """The carry-free gaps of base point u*y in the DP's units: bit d is
+        set when the edge y -> y + d may have a nonzero numerator."""
+        u, units = self._units
+        return _carry_free_gaps(u * y + 1, self.f.p, units)
+
     def _node_value(self, g, x):
         """Sum over admissible y < x of g[y] * Phi(u*y, u*x).
 
         g is the sparse DP state: it holds only nodes that are not exact
         zeros, in increasing order, so the loop visits nonzero predecessors
-        only.  An edge whose gap u*(x - y) is missing from the carry-free
-        gaps of its base point u*y has only vanishing residues, so its
-        numerator would be an exact zero: it is skipped before the numerator
-        is built.  Every other numerator is built as it stands, horizon
-        included.  The products g[y] * numerator are summed by one
-        LaurentElement.dot, and the sum is multiplied by the prefactor once.
+        only.  An edge whose bit x - y is missing from the gap set of y has
+        only vanishing residues, so its numerator would be an exact zero: it
+        is skipped before the numerator is built.  Every other numerator is
+        built as it stands, horizon included.  The products g[y] * numerator
+        are summed by one LaurentElement.dot, and the sum is multiplied by
+        the prefactor once.
         """
-        f = self.f
-        u = f.u
-        p = f.p
-        support = f.support
+        u, units = self._units
+        p = self.f.p
         triples = []
         for y, gy in g.items():
             if y >= x:
                 break
-            if not _carry_free_gaps(u * y + 1, p, support) >> (u * (x - y)) & 1:
+            if not _carry_free_gaps(u * y + 1, p, units) >> (x - y) & 1:
                 continue
             num = self.numerator(u * y, u * x)
             if num.is_exact_zero():
@@ -428,25 +445,41 @@ class LevelTable:
 
         The per-(k, r) DP state is shared between targets, so sampling many
         s values against one base point costs one sweep total.  The sweep
-        stores only nodes that are not exact zeros; "hi" records how far it
-        has gone, so an admissible point up to hi missing from g is an exact
-        zero.  An inadmissible target is summed directly and never stored.
+        stores only nodes that are not exact zeros, and ORs the gap set of
+        each stored node, shifted to it, into the state's "reach".  It jumps
+        from one reached point to the next, so the points in between, exact
+        zeros with no edge from a stored node, cost nothing.  "hi" records
+        how far it has gone, so an admissible point up to hi missing from g
+        is an exact zero.  An inadmissible target is summed directly and
+        never stored.
         """
         if not (0 <= r < s):
             raise ValueError(f"need 0 <= r < s, got ({r}, {s})")
         st = self._dp.get((k, r))
         if st is None:
-            st = {"g": {r: LaurentElement.one(self.f.p)}, "hi": r}
+            st = {"g": {r: LaurentElement.one(self.f.p)}, "hi": r, "reach": self._gaps(r) << r}
             self._dp[(k, r)] = st
         g = st["g"]
         admissible = self._interior_ok(k, s)
         top = s if admissible else s - 1
-        for x in range(st["hi"] + 1, top + 1):
-            if self._interior_ok(k, x):
-                val = self._node_value(g, x)
-                if not val.is_exact_zero():
-                    g[x] = val
-        st["hi"] = max(st["hi"], top)
+        if top > st["hi"]:
+            reach = st["reach"]
+            x = st["hi"] + 1
+            while True:
+                ahead = reach >> x
+                if not ahead:
+                    break
+                x += (ahead & -ahead).bit_length() - 1
+                if x > top:
+                    break
+                if self._interior_ok(k, x):
+                    val = self._node_value(g, x)
+                    if not val.is_exact_zero():
+                        g[x] = val
+                        reach |= self._gaps(x) << x
+                x += 1
+            st["reach"] = reach
+            st["hi"] = top
         if admissible:
             return g.get(s, LaurentElement.zero(self.f.p))
         return self._node_value(g, s)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from charp.cli import _KEYS, JobConfig, build_map, main
+from charp.cli import _KEYS, JobConfig, _parser, build_map, main
 from charp.field import LaurentElement, _shared_multiplier
 from charp.recurrence import DynamicalSeries, b_coeffs
 
@@ -338,6 +338,47 @@ class TestDeterminism:
         b = subprocess.run(cmd, capture_output=True, env=child_env())
         assert a.returncode == 0
         assert a.stdout == b.stdout
+
+
+class TestParserReuse:
+    # main() builds its parser once per process; a parse must leave nothing
+    # behind that the next call could see
+
+    GOOD = ["analyze", "--p", "5", "--a", "1:1,2:2", "--Kmax", "2"]
+
+    def test_bad_flags_fail_alike_twice(self, capsys):
+        errs = []
+        for _ in range(2):
+            code, out = run_cli(["analyze", "--p", "5", "--bogus", "1"])
+            assert (code, out) == (2, "")
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert "unrecognized arguments: --bogus 1" in errs[0]
+
+    def test_bad_call_leaves_no_trace(self, capsys):
+        _parser.cache_clear()
+        alone = run_cli(self.GOOD)
+        # the last one parses, then fails its range check
+        for bad in (
+            ["analyze", "--Kmax", "x"],
+            ["lemmas", "--out"],
+            [],
+            ["analyze", "--window", "1", "--max-window", "1", "--Kmax", "0"],
+        ):
+            assert run_cli(bad)[0] == 2
+            assert run_cli(self.GOOD) == alone, bad
+
+    @pytest.mark.parametrize("command", [[], ["analyze"], ["bseries"], ["lemmas"]])
+    def test_help_is_the_fresh_parser_help(self, command, monkeypatch, capsys):
+        # the help of a parser built afresh, as main() built one per call
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_:
+            _parser.__wrapped__().parse_args(command + ["--help"])
+        assert exit_.value.code == 0
+        fresh = capsys.readouterr().out
+        run_cli(["lemmas", "--p", "x"])
+        for _ in range(2):
+            assert run_cli(command + ["--help"]) == (0, fresh)
 
 
 # sha256 of the stdout of the north-star corpus, recorded before the

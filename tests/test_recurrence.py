@@ -8,7 +8,7 @@ import weakref
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charp.combinat import (
@@ -202,6 +202,52 @@ class TestSparseLevelDP:
             assert node.is_zero_within_window() and not node.is_exact_zero()
 
 
+    @given(
+        p=st.sampled_from([3, 5, 7]),
+        u=st.sampled_from([2, 3]),
+        multiples=st.sets(st.integers(1, 4), min_size=1, max_size=2),
+        exps=st.lists(st.sampled_from([0, 1, 3, 100]), min_size=2, max_size=2),
+        window=st.sampled_from([8, 64]),
+        k=st.sampled_from([0, 1, 2, INF]),
+        r=st.integers(0, 12),
+        gap=st.integers(1, 40),
+        inadmissible=st.booleans(),
+    )
+    # {2: t^100, 4: 1} at window 8 stores horizon-zero nodes (4, 10 and 16
+    # from r = 1; 13 from r = 4)
+    @example(p=3, u=2, multiples={1, 2}, exps=[100, 0], window=8, k=1, r=1, gap=20, inadmissible=False)
+    @example(p=3, u=2, multiples={1, 2}, exps=[100, 0], window=8, k=INF, r=4, gap=12, inadmissible=True)
+    @settings(max_examples=150, deadline=None)
+    def test_reach_sweep_matches_a_full_sweep(
+        self, p, u, multiples, exps, window, k, r, gap, inadmissible
+    ):
+        # the slow path: _node_value at every admissible point, stored unless
+        # an exact zero; the reach-driven sweep must store the same nodes,
+        # horizon zeros included, with the same values and the same hi
+        support = sorted(u * m for m in multiples)
+        f = make_map(p, {i: f"t^{e}" for i, e in zip(support, exps)}, default_window=window)
+        s = r + gap
+        if inadmissible and k != INF:
+            q = p ** int(k)
+            s = max(q * (s // q), q * (r // q + 1))  # a multiple of p^k past r
+        t = LevelTable(f)
+        value = t.phi(k, r, s)
+        slow = LevelTable(f)
+        g = {r: LaurentElement.one(p)}
+        top = s if slow._interior_ok(k, s) else s - 1
+        for x in range(r + 1, top + 1):
+            if slow._interior_ok(k, x):
+                val = slow._node_value(g, x)
+                if not val.is_exact_zero():
+                    g[x] = val
+        expect = g.get(s, LaurentElement.zero(p)) if top == s else slow._node_value(g, s)
+        state = t._dp[(k, r)]
+        assert list(state["g"]) == list(g)
+        assert state["hi"] == max(top, r)
+        assert all(state["g"][x] == g[x] for x in g)
+        assert value == expect
+
+
 class TestCarryFreeGaps:
     # the gap sets that let the DP skip an edge without building its
     # numerator, checked against multinomials from big-integer factorials
@@ -230,6 +276,27 @@ class TestCarryFreeGaps:
             assert bool(gaps >> d & 1) == nonzero, (n, d)
             if not nonzero:
                 assert f.table().numerator(r, r + d).is_exact_zero()
+
+    @given(
+        p=st.sampled_from([3, 5, 7]),
+        u=st.sampled_from([2, 3, 4]),
+        units=st.sets(st.integers(1, 5), min_size=1, max_size=3),
+        n=st.integers(1, 200),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_unit_support_counts_in_units_of_u(self, p, u, units, n):
+        # the DP reads the set of support/u: bit d there is bit u*d of the
+        # set of the support itself, which has no bit off the multiples of u
+        unit_support = tuple(sorted(units))
+        support = tuple(u * i for i in unit_support)
+        scaled = _carry_free_gaps(n, p, unit_support)
+        gaps = _carry_free_gaps(n, p, support)
+        assert gaps.bit_length() - 1 == u * (scaled.bit_length() - 1)
+        for e in range(gaps.bit_length()):
+            if e % u:
+                assert not gaps >> e & 1, (n, e)
+            else:
+                assert bool(scaled >> (e // u) & 1) == bool(gaps >> e & 1), (n, e)
 
     def test_sum_rows(self):
         # row m holds the sums of at most m support elements
